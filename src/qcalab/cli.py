@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dirac import (
     WalkField,
     convergence_study,
@@ -392,9 +391,7 @@ def _selftest_walk(seed: int):
         ).normalized()
         g = walk_evolve(f, 0.4, 0.2, 50)
         assert abs(g.norm() - 1.0) < 1e-12, f"norm drift {abs(g.norm() - 1)}"
-        ref = _kernels.evolve_numpy(f.psi_plus, f.psi_minus, math.cos(0.08), math.sin(0.08), 50)
-        assert np.max(np.abs(g.psi_plus - ref[0])) < 1e-12, "backend mismatch"
-    yield "norm conservation and backend agreement"
+    yield "norm conservation"
     k = 2 * math.pi * 3 / (64 * 0.1)
     w0 = dirac_plane_wave(k, 0.0, 0.0, 64, 0.1)
     w1 = walk_evolve(w0, 0.0, 0.1, 10)
@@ -628,26 +625,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("QCALAB_THREADS", "").strip()
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        return
-    if n > 0 and _kernels.HAVE_NUMBA:
-        try:
-            import numba
+_VALUE_FLAGS = {"--config", *(f"--{o.name}" for opts in (*_SUBCOMMANDS.values(), _COMMON) for o in opts)}
 
-            numba.set_num_threads(min(n, numba.get_num_threads()))
-        except (ImportError, ValueError):  # pragma: no cover - defensive
-            pass
+
+def _attach_dash_values(argv) -> list:
+    """Rewrite `--flag -2,-1` as `--flag=-2,-1`: argparse takes a separate
+    value that starts with '-' for a flag unless it is one plain number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def build_config(argv) -> RunConfig:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(argv))
     opts = _SUBCOMMANDS[args.subcommand] + _COMMON
     file_values = _load_config_file(args.config) if args.config else {}
     params = {}
@@ -673,7 +668,6 @@ def build_config(argv) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     try:
         cfg = build_config(sys.argv[1:] if argv is None else argv)
         return run(cfg)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .pqca import Pqca, ScatteringUnitary, pqca_step
 from .state import Alphabet, Configuration, SparseState
 
@@ -120,14 +119,20 @@ def walk_step(f: WalkField, mass: float, eps: float) -> WalkField:
 
 
 def walk_evolve(f: WalkField, mass: float, eps: float, steps: int) -> WalkField:
-    """`steps` updates via the active kernel backend (numba or numpy)."""
+    """`steps` updates of the two recurrence lines, vectorized over the grid."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return f.copy()
     c = math.cos(mass * eps)
     s = math.sin(mass * eps)
-    pp, pm = _kernels.evolve(f.psi_plus, f.psi_minus, c, s, steps)
+    pp = f.psi_plus.astype(np.complex128, copy=True)
+    pm = f.psi_minus.astype(np.complex128, copy=True)
+    for _ in range(steps):
+        pp, pm = (
+            c * np.roll(pp, 1) - 1j * s * pm,
+            c * np.roll(pm, -1) - 1j * s * pp,
+        )
     return WalkField(pp, pm)
 
 

@@ -1,6 +1,11 @@
 """Dense operators on a finite cell register: application, partial traces,
 Heisenberg images, minimal-support extraction, Hermitian exponentials and
 trace distance. Everything is plain numpy; sizes are capped by RingSpace.
+
+`op_at` is the one embedding primitive: every "local matrix on cells S of
+the register, identity elsewhere" (single-cell probes, block phases on
+rotated cells, ring Hamiltonian terms, right-subcell extensions) is one
+call to it.
 """
 
 from __future__ import annotations
@@ -243,46 +248,41 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
 
 
-def spectral_norm(op, rtol: float = 1e-8, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on A^dag A.
+def spectral_norm(op) -> float:
+    """Largest singular value (LAPACK SVD)."""
+    return float(np.linalg.norm(_as_matrix(op), 2))
 
-    Deterministic start vector; `rtol` is the relative tolerance on
-    successive estimates.
+
+def op_at(ring: RingSpace, cells, local: np.ndarray) -> DenseOperator:
+    """`local` on the ordered cells `cells`, identity on every other cell.
+
+    `local` is d^k x d^k for k distinct cells; its first tensor factor sits
+    on cells[0] (most significant), its last on cells[-1]. The result is
+    written in place through a transposed 2n-axis view of one dim x dim
+    array, so nothing else of full size is allocated.
     """
-    a = _as_matrix(op)
-    n = a.shape[1]
-    v = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
-    v = v.astype(np.complex128)
-    est = 0.0
-    for _ in range(max_iter):
-        y = a @ v
-        new = float(np.linalg.norm(y))
-        if new == 0.0:
-            return 0.0
-        v = a.conj().T @ y
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return new
-        v = v / nv
-        if abs(new - est) <= rtol * max(new, 1e-300):
-            return new
-        est = new
-    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
-
-
-def op_at(ring: RingSpace, cell: int, local: np.ndarray) -> DenseOperator:
-    """Single-cell operator: `local` at `cell`, identity elsewhere."""
-    d = ring.local_dim
+    n, d = ring.cell_count, ring.local_dim
+    cells = tuple(int(c) for c in cells)
+    k = len(cells)
+    if len(set(cells)) != k:
+        raise ValueError(f"cells {cells} are not distinct")
+    if any(not (0 <= c < n) for c in cells):
+        raise ValueError(f"cells {cells} outside ring of {n} cells")
     local = np.asarray(local, dtype=np.complex128)
-    if local.shape != (d, d):
-        raise ValueError(f"local matrix must be {d}x{d}")
-    if not (0 <= cell < ring.cell_count):
-        raise ValueError(f"cell {cell} outside ring of {ring.cell_count} cells")
-    m = np.kron(
-        np.eye(d**cell),
-        np.kron(local, np.eye(d ** (ring.cell_count - cell - 1))),
+    if local.shape != (d**k, d**k):
+        raise ValueError(f"local matrix must be {d**k}x{d**k} for {k} cells, got {local.shape}")
+    rest = [c for c in range(n) if c not in cells]
+    r = n - k
+    out = np.empty((ring.dim, ring.dim), dtype=np.complex128)
+    # axes of `view`: rows of cells, rows of rest, columns of cells, columns of rest
+    order = [*cells, *rest]
+    view = out.reshape([d] * (2 * n)).transpose(order + [n + c for c in order])
+    np.multiply(
+        local.reshape([d] * k + [1] * r + [d] * k + [1] * r),
+        np.eye(d**r).reshape([1] * k + [d] * r + [1] * k + [d] * r),
+        out=view,
     )
-    return DenseOperator(ring, m)
+    return DenseOperator(ring, out)
 
 
 def matrix_units(d: int):

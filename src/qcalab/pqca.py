@@ -5,7 +5,8 @@ blocks anchored at even coordinates on even steps, shifted by (1,...,1) on
 odd steps (step count starts at 0 = even). The sparse backend materializes
 only blocks that touch occupied cells, which is exact because the
 scattering unitary fixes the all-empty block state; the dense backend
-builds the same phase map as a matrix on a periodic ring.
+builds the same phase map as a matrix on a periodic ring, the odd phase
+being the even one placed on the cells rotated by one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseOperator, translation_operator, unitarity_defect
+from .operators import DenseOperator, op_at, unitarity_defect
 from .state import PRUNE_THRESHOLD, Configuration, RingSpace, SparseState
 
 QUIESCENCE_TOL = 1e-10
@@ -187,8 +188,9 @@ def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOpera
     """Dense matrix of one phase map on a periodic ring (even cell count).
 
     The even phase is the plain tensor power of the scattering unitary over
-    blocks (0,1), (2,3), ...; the odd phase is that operator conjugated by
-    the one-cell translation, which places blocks at (1,2), ..., (N-1,0).
+    blocks (0,1), (2,3), ...; the odd phase is that same operator placed on
+    the rotated cells (1, 2, ..., N-1, 0), which puts its blocks at (1,2),
+    ..., (N-1,0).
     """
     u = pqca.scattering
     if u.dimension != 1:
@@ -203,8 +205,7 @@ def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOpera
     for _ in range(ring.cell_count // 2):
         j = np.kron(j, u.matrix)
     if phase == "odd":
-        t = translation_operator(ring).matrix
-        j = t.conj().T @ j @ t
+        return op_at(ring, (*range(1, ring.cell_count), 0), j)
     return DenseOperator(ring, j)
 
 

@@ -190,7 +190,7 @@ def causality_check(
     for x in range(ring.cell_count):
         allowed = _neighbourhood_cells(x, neighbourhood, ring.cell_count, periodic)
         for idx, unit in enumerate(units):
-            a = op_at(ring, x, unit)
+            a = op_at(ring, (x,), unit)
             image = DenseOperator(ring, gd @ a.matrix @ gm)
             supp = support_of(image, tol)
             if not set(supp) <= allowed:
@@ -212,28 +212,16 @@ def doubled_ring(ring: RingSpace) -> RingSpace:
 def extend_to_right_subcells(g: DenseOperator) -> DenseOperator:
     """Extension of g to the doubled alphabet, acting on right subcells only.
 
-    Doubled symbols encode subcell pairs as left*d + right. The extension is
-    built by permuting the doubled basis to (all left subcells) x (all right
-    subcells), applying I (x) g, and permuting back.
+    Doubled symbols encode subcell pairs as left*d + right, so the doubled
+    register is the 2N-subcell register with cell x's right subcell at
+    2x + 1; the extension is g on the odd subcells, relabelled as an
+    operator on the doubled ring.
     """
     ring = g.ring
-    n, d = ring.cell_count, ring.local_dim
     big = doubled_ring(ring)
-    dim2 = big.dim
-    dn = ring.dim
-    perm = np.zeros(dim2, dtype=np.int64)
-    for idx in range(dim2):
-        pairs = big.symbols_of(idx)
-        left = right = 0
-        for p in pairs:
-            l, r = divmod(p, d)
-            left = left * d + l
-            right = right * d + r
-        perm[idx] = left * dn + right
-    factored = np.kron(np.eye(dn, dtype=np.complex128), g.matrix)
-    # conjugate by the basis permutation: ghat[i2, j2] = factored[perm[i2], perm[j2]]
-    ghat = factored[np.ix_(perm, perm)]
-    return DenseOperator(big, ghat)
+    n, d = ring.cell_count, ring.local_dim
+    ghat = op_at(RingSpace(2 * n, d), tuple(range(1, 2 * n, 2)), g.matrix)
+    return DenseOperator(big, ghat.matrix)
 
 
 def subcell_swap(ring: RingSpace, cell: int) -> DenseOperator:
@@ -243,7 +231,7 @@ def subcell_swap(ring: RingSpace, cell: int) -> DenseOperator:
     for l in range(d):
         for r in range(d):
             local[r * d + l, l * d + r] = 1.0
-    return op_at(doubled_ring(ring), cell, local)
+    return op_at(doubled_ring(ring), (cell,), local)
 
 
 def embedding_matrix(ring: RingSpace) -> np.ndarray:
@@ -341,9 +329,9 @@ def build_localization(
 
 def single_cell_product(ring: RingSpace, local_unitary: np.ndarray) -> DenseOperator:
     """Translation-invariant product of one single-cell unitary."""
-    full = np.eye(ring.dim, dtype=np.complex128)
-    for cell in range(ring.cell_count):
-        full = full @ op_at(ring, cell, local_unitary).matrix
+    full = np.array([[1.0 + 0.0j]])
+    for _ in range(ring.cell_count):
+        full = np.kron(full, local_unitary)
     return DenseOperator(ring, full)
 
 
@@ -407,6 +395,6 @@ def signalling_demo(length: int) -> SignallingReport:
         reduced_density_from_vector(d_minus, ring, bob),
     )
     z = np.diag([1.0, -1.0, 1.0]).astype(np.complex128)  # |t> -> -|t>, |f>, |0> fixed
-    z_alice = op_at(ring, 0, z)
+    z_alice = op_at(ring, (0,), z)
     phase_flip_defect = float(np.max(np.abs(z_alice.matrix @ c_plus - c_minus)))
     return SignallingReport(length, before, after, phase_flip_defect)

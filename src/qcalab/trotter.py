@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    DenseOperator,
-    hermitian_exp,
-    hermiticity_defect,
-    spectral_norm,
-    translation_operator,
-)
+from .operators import DenseOperator, hermitian_exp, hermiticity_defect, op_at, spectral_norm
 from .pqca import Pqca, ScatteringUnitary, pqca_as_ring_operator
 from .state import RingSpace
 
@@ -89,18 +83,16 @@ def build_global_hamiltonian(h: TwoCellHamiltonian, ring: RingSpace) -> GlobalHa
         raise ValueError("ring local dimension does not match the coupling")
     if n < 2 or n % 2 != 0:
         raise ValueError("ring must have an even number of cells, at least 2")
-    t = translation_operator(ring).matrix
-    term = np.kron(h.matrix, np.eye(d ** (n - 2), dtype=np.complex128))
     total = np.zeros((ring.dim, ring.dim), dtype=np.complex128)
     even = np.zeros_like(total)
     odd = np.zeros_like(total)
     for x in range(n):
+        term = op_at(ring, (x, (x + 1) % n), h.matrix).matrix
         total += term
         if x % 2 == 0:
             even += term
         else:
             odd += term
-        term = t.conj().T @ term @ t
     return GlobalHamiltonian(
         DenseOperator(ring, total), DenseOperator(ring, even), DenseOperator(ring, odd)
     )

@@ -144,6 +144,20 @@ class TestCausalityCommand:
         assert "verdict: fail" in out
         assert "witness" in out
 
+    def test_neighbourhood_value_may_follow_as_its_own_argument(self, capsys):
+        base = ["causality", "--system", "xor", "--length", "4", "--expect", "fail"]
+        joined = run_cli(base + ["--neighbourhood=-2,-1,0,1,2"], capsys)
+        separate = run_cli(base + ["--neighbourhood", "-2,-1,0,1,2"], capsys)
+        assert separate == joined
+        assert joined[0] == 0
+
+    def test_missing_neighbourhood_value_is_usage_error(self, capsys):
+        for tail in (["--neighbourhood"], ["--neighbourhood", "--expect", "fail"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["causality", "--system", "xor", "--length", "4"] + tail)
+            assert exc.value.code == 2
+            assert "expected one argument" in capsys.readouterr().err
+
     def test_xor_unexpected_pass_expectation_exits_one(self, capsys):
         code, out, _ = run_cli(
             ["causality", "--system", "xor", "--length", "3"], capsys

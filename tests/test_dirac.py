@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qcalab import _kernels
 from qcalab.dirac import (
     ConvergenceResult,
     DiracParams,
@@ -219,23 +218,26 @@ class TestOneParticleSector:
             assert len(config.cells) == 1, f"sector leak {config} amp {amp}"
 
 
-class TestKernels:
-    def test_numba_and_numpy_paths_agree(self):
+class TestFourierReference:
+    def test_walk_matches_transfer_matrix_propagator(self):
+        # Each Fourier mode k of the recurrence evolves by the 2x2 matrix
+        # [[c z, -i s], [-i s, c conj(z)]] with z = exp(-2 pi i k / M): the
+        # shift x-1 of psi_plus multiplies its mode by z, x+1 by conj(z).
         rng = np.random.default_rng(4)
-        pp = rng.normal(size=48) + 1j * rng.normal(size=48)
-        pm = rng.normal(size=48) + 1j * rng.normal(size=48)
-        ref = _kernels.evolve_numpy(pp, pm, math.cos(0.2), math.sin(0.2), 31)
-        if _kernels.HAVE_NUMBA:
-            jit = _kernels.evolve_numba(pp, pm, math.cos(0.2), math.sin(0.2), 31)
-            assert np.max(np.abs(ref[0] - jit[0])) < 1e-13
-            assert np.max(np.abs(ref[1] - jit[1])) < 1e-13
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("QCALAB_NO_NUMBA", "1")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.delenv("QCALAB_NO_NUMBA")
-        if _kernels.HAVE_NUMBA:
-            assert _kernels.active_backend() == "numba"
+        grid, steps, mass, eps = 48, 31, 0.5, 0.4
+        pp = rng.normal(size=grid) + 1j * rng.normal(size=grid)
+        pm = rng.normal(size=grid) + 1j * rng.normal(size=grid)
+        c, s = math.cos(mass * eps), math.sin(mass * eps)
+        z = np.exp(-2j * math.pi * np.arange(grid) / grid)
+        transfer = np.empty((grid, 2, 2), dtype=complex)
+        transfer[:, 0, 0] = c * z
+        transfer[:, 0, 1] = transfer[:, 1, 0] = -1j * s
+        transfer[:, 1, 1] = c * z.conj()
+        modes = np.stack([np.fft.fft(pp), np.fft.fft(pm)], axis=1)
+        evolved = np.einsum("kij,kj->ki", np.linalg.matrix_power(transfer, steps), modes)
+        out = walk_evolve(WalkField(pp, pm), mass, eps, steps)
+        assert np.max(np.abs(out.psi_plus - np.fft.ifft(evolved[:, 0]))) < 1e-12
+        assert np.max(np.abs(out.psi_minus - np.fft.ifft(evolved[:, 1]))) < 1e-12
 
 
 class TestDiracParams:

@@ -116,7 +116,7 @@ class TestPartialTrace:
 class TestHeisenbergImage:
     def test_identity_leaves_observable(self):
         ring = RingSpace(2, 2)
-        a = op_at(ring, 0, SIGMA1)
+        a = op_at(ring, (0,), SIGMA1)
         out = heisenberg_image(identity_operator(ring), a)
         assert np.allclose(out.matrix, a.matrix)
 
@@ -142,7 +142,7 @@ class TestHeisenbergImage:
         j = pqca_as_ring_operator(
             Pqca(dirac_scattering_unitary(0.6, 0.5)), ring, "even"
         )
-        a = op_at(ring, 0, SIGMA1)
+        a = op_at(ring, (0,), SIGMA1)
         assert set(support_of(heisenberg_image(j, a))) <= {0, 1}
 
 
@@ -152,12 +152,57 @@ class TestSupportOf:
 
     def test_single_cell_operator(self):
         ring = RingSpace(4, 2)
-        assert support_of(op_at(ring, 2, SIGMA1)) == (2,)
+        assert support_of(op_at(ring, (2,), SIGMA1)) == (2,)
 
     def test_two_cell_operator(self):
         ring = RingSpace(4, 2)
         m = np.kron(np.eye(2), np.kron(SWAP2, np.eye(2)))
         assert support_of(DenseOperator(ring, m)) == (1, 2)
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestOpAt:
+    @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+    def test_single_cell_is_the_kron_embedding(self, n, d):
+        ring = RingSpace(n, d)
+        a = random_matrix(np.random.default_rng(n), d)
+        for cell in range(n):
+            expected = np.kron(np.eye(d**cell), np.kron(a, np.eye(d ** (n - cell - 1))))
+            assert np.array_equal(op_at(ring, (cell,), a).matrix, expected)
+
+    def test_adjacent_pair_is_the_kron_embedding(self):
+        ring = RingSpace(4, 2)
+        local = random_matrix(np.random.default_rng(1), 4)
+        expected = np.kron(np.eye(2), np.kron(local, np.eye(2)))
+        assert np.array_equal(op_at(ring, (1, 2), local).matrix, expected)
+
+    @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+    def test_pair_factorizes_over_its_cells(self, n, d):
+        ring = RingSpace(n, d)
+        rng = np.random.default_rng(10 * n + d)
+        a, b = random_matrix(rng, d), random_matrix(rng, d)
+        # adjacent, non-adjacent, wrapped and descending pairs
+        for pair in [(0, 1), (1, 2), (0, 2), (1, n - 1), (n - 1, 0), (2, 0)]:
+            lhs = op_at(ring, pair, np.kron(a, b)).matrix
+            rhs = op_at(ring, pair[:1], a).matrix @ op_at(ring, pair[1:], b).matrix
+            assert np.allclose(lhs, rhs, rtol=0, atol=1e-13), pair
+
+    def test_repeated_cells_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            op_at(RingSpace(3, 2), (1, 1), np.eye(4))
+
+    @pytest.mark.parametrize("cells", [(3,), (-1,), (0, 5)])
+    def test_out_of_range_cells_rejected(self, cells):
+        with pytest.raises(ValueError, match="outside"):
+            op_at(RingSpace(3, 2), cells, np.eye(2 ** len(cells)))
+
+    @pytest.mark.parametrize("cells,shape", [((0,), (4, 4)), ((0, 1), (2, 2)), ((0,), (2, 3))])
+    def test_wrong_local_shape_rejected(self, cells, shape):
+        with pytest.raises(ValueError, match="local matrix"):
+            op_at(RingSpace(3, 2), cells, np.ones(shape))
 
 
 class TestHermitianExp:
@@ -257,6 +302,14 @@ class TestSpectralNorm:
             assert spectral_norm(a) == pytest.approx(
                 np.linalg.svd(a, compute_uv=False)[0], rel=1e-6
             )
+
+    def test_close_top_singular_values(self):
+        # power iteration converges at the rate 0.999^2 here; the norm must not
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(random_matrix(rng, 6))
+        v, _ = np.linalg.qr(random_matrix(rng, 6))
+        a = (u * np.array([1.0, 0.999, 0.7, 0.5, 0.2, 0.1])) @ v.conj().T
+        assert spectral_norm(a) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDensityValidation:

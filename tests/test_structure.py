@@ -214,6 +214,25 @@ class TestLocalization:
         with pytest.raises(ValueError, match="not causal"):
             build_localization(xor_lifted(3), (-1, 0, 1), periodic=False)
 
+    @pytest.mark.parametrize("cells,d", [(3, 2), (2, 3)])
+    def test_extension_acts_on_right_subcells(self, cells, d):
+        # |l_x r_x> on every cell goes to |l> (x) g|r>, doubled symbol l*d + r
+        rng = np.random.default_rng(cells)
+        dim = d**cells
+        g = DenseOperator(
+            RingSpace(cells, d), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        ghat = extend_to_right_subcells(g)
+        subcells = RingSpace(2 * cells, d)
+        lefts = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(cells)]
+        right = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        left_cells = tuple(range(0, 2 * cells, 2))
+        right_cells = tuple(range(1, 2 * cells, 2))
+        factors = [((c,), v) for c, v in zip(left_cells, lefts)]
+        before = tensor_state(subcells, factors + [(right_cells, right)])
+        after = tensor_state(subcells, factors + [(right_cells, g.matrix @ right)])
+        assert np.allclose(ghat.matrix @ before, after, rtol=0, atol=1e-12)
+
     def test_lifted_xor_update_gates_are_nonlocal(self):
         # window of 3: the doubled register stays under the dense cap
         f_hat = xor_lifted(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcalab.operators import hermitian_exp, hermiticity_defect, spectral_norm
+from qcalab.operators import hermitian_exp, hermiticity_defect, spectral_norm, translation_operator
 from qcalab.pqca import check_quiescence, pqca_as_ring_operator
 from qcalab.state import RingSpace
 from qcalab.trotter import (
@@ -75,6 +75,22 @@ class TestGlobalHamiltonian:
         )
         for op in (parts.total, parts.even, parts.odd):
             assert hermiticity_defect(op.matrix) < 1e-10
+
+    @pytest.mark.parametrize("cells,d", [(6, 2), (4, 3)])
+    def test_matches_translated_terms(self, cells, d):
+        # h_x = T^{dag x} (h (x) I) T^x, built from the one-cell translation
+        h = random_coupling(d, 7)
+        ring = RingSpace(cells, d)
+        t = translation_operator(ring).matrix
+        term = np.kron(h.matrix, np.eye(d ** (cells - 2)))
+        terms = []
+        for _ in range(cells):
+            terms.append(term)
+            term = t.conj().T @ term @ t
+        parts = build_global_hamiltonian(h, ring)
+        assert np.allclose(parts.total.matrix, sum(terms), rtol=0, atol=1e-13)
+        assert np.allclose(parts.even.matrix, sum(terms[0::2]), rtol=0, atol=1e-13)
+        assert np.allclose(parts.odd.matrix, sum(terms[1::2]), rtol=0, atol=1e-13)
 
     def test_odd_ring_rejected(self):
         with pytest.raises(ValueError, match="even"):
