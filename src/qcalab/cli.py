@@ -148,23 +148,15 @@ def _run_walk(cfg: RunConfig) -> int:
         raise UsageError("--grid: must be a positive even integer")
     f = _parse_init(p["init"], grid)
     lines = ["t,x,re_plus,im_plus,re_minus,im_minus,prob"]
-    d = cfg.digits
+    # format(nan, spec) is already "nan", so _fmt's NaN branch is not needed
+    spec = f".{cfg.digits}g"
+    xs = [format(k * eps, spec) for k in range(grid)]
     for s in range(steps + 1):
-        t = s * eps
-        for k in range(grid):
-            prob = abs(f.psi_plus[k]) ** 2 + abs(f.psi_minus[k]) ** 2
+        t = format(s * eps, spec)
+        for x, plus, minus in zip(xs, f.psi_plus.tolist(), f.psi_minus.tolist()):
             lines.append(
-                ",".join(
-                    (
-                        _fmt(t, d),
-                        _fmt(k * eps, d),
-                        _fmt(f.psi_plus[k].real, d),
-                        _fmt(f.psi_plus[k].imag, d),
-                        _fmt(f.psi_minus[k].real, d),
-                        _fmt(f.psi_minus[k].imag, d),
-                        _fmt(prob, d),
-                    )
-                )
+                f"{t},{x},{plus.real:{spec}},{plus.imag:{spec}},{minus.real:{spec}},"
+                f"{minus.imag:{spec}},{abs(plus) ** 2 + abs(minus) ** 2:{spec}}"
             )
         if s < steps:
             f = walk_step(f, mass, eps)
@@ -671,6 +663,9 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(sys.argv[1:] if argv is None else argv)
         return run(cfg)
+    except SystemExit as exc:
+        # argparse ends its own usage errors (2) and --help (0) by exiting
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

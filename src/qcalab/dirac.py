@@ -119,20 +119,40 @@ def walk_step(f: WalkField, mass: float, eps: float) -> WalkField:
 
 
 def walk_evolve(f: WalkField, mass: float, eps: float, steps: int) -> WalkField:
-    """`steps` updates of the two recurrence lines, vectorized over the grid."""
+    """`steps` updates of the two recurrence lines, vectorized over the grid.
+
+    The shifts are slice writes into buffers allocated once per call and
+    swapped each step, so no step allocates. Each amplitude is computed as
+    `c * shifted - (1j * s) * other`, the same IEEE operations in the same
+    order as the plain recurrence, so the result is bitwise that
+    recurrence (signed zeros included). The input field is not modified.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return f.copy()
     c = math.cos(mass * eps)
-    s = math.sin(mass * eps)
+    flip = 1j * math.sin(mass * eps)
     pp = f.psi_plus.astype(np.complex128, copy=True)
     pm = f.psi_minus.astype(np.complex128, copy=True)
+    next_pp = np.empty_like(pp)
+    next_pm = np.empty_like(pm)
+    tmp = np.empty_like(pp)
+    # The scalar stays the first operand: numpy's fused complex multiply is
+    # not symmetric in the sign of a zero that a product underflows to.
     for _ in range(steps):
-        pp, pm = (
-            c * np.roll(pp, 1) - 1j * s * pm,
-            c * np.roll(pm, -1) - 1j * s * pp,
-        )
+        # psi_plus moves right: next_pp[x] = c * pp[x-1] - flip * pm[x]
+        np.multiply(c, pp[:-1], out=next_pp[1:])
+        np.multiply(c, pp[-1:], out=next_pp[:1])
+        np.multiply(flip, pm, out=tmp)
+        np.subtract(next_pp, tmp, out=next_pp)
+        # psi_minus moves left: next_pm[x] = c * pm[x+1] - flip * pp[x]
+        np.multiply(c, pm[1:], out=next_pm[:-1])
+        np.multiply(c, pm[:1], out=next_pm[-1:])
+        np.multiply(flip, pp, out=tmp)
+        np.subtract(next_pm, tmp, out=next_pm)
+        pp, next_pp = next_pp, pp
+        pm, next_pm = next_pm, pm
     return WalkField(pp, pm)
 
 

@@ -57,6 +57,9 @@ class Configuration:
                 raise ValueError(f"negative symbol {symbol} at {point}")
             cells.append((point, int(symbol)))
         cells.sort()
+        for (point, _), (following, _) in zip(cells, cells[1:]):
+            if point == following:
+                raise ValueError(f"point {point} holds more than one cell")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "_hash", hash((dimension, self.cells)))

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qcalab.cli import main
+from qcalab.dirac import WalkField, gaussian_field, walk_step
 from qcalab.pqca import ScatteringUnitary, save_unitary
 
 
@@ -52,6 +55,44 @@ class TestWalkCommand:
         assert code == 0
         # final right-mover at site 4 lives on wire cell 8
         assert dump.read_text() == "(8):1\t1\t0\n"
+
+
+def reference_walk_csv(mass, eps, steps, field, digits):
+    """The walk CSV formatted one numpy element at a time."""
+
+    def fmt(value):
+        return "nan" if math.isnan(value) else f"{value:.{digits}g}"
+
+    lines = ["t,x,re_plus,im_plus,re_minus,im_minus,prob"]
+    for s in range(steps + 1):
+        for k in range(field.grid_size):
+            p, m = field.psi_plus[k], field.psi_minus[k]
+            prob = abs(p) ** 2 + abs(m) ** 2
+            values = (s * eps, k * eps, p.real, p.imag, m.real, m.imag, prob)
+            lines.append(",".join(fmt(v) for v in values))
+        if s < steps:
+            field = walk_step(field, mass, eps)
+    return "\n".join(lines) + "\n"
+
+
+class TestWalkCsvBytes:
+    @pytest.mark.parametrize("digits", [6, 17])
+    @pytest.mark.parametrize(
+        "init, field",
+        [
+            ("delta:5:minus", lambda: WalkField(np.zeros(48), np.eye(48)[5])),
+            ("gauss:20.5:3:2", lambda: gaussian_field(48, 20.5, 3.0, 2, "plus")),
+            ("gauss:30:4:-3:minus", lambda: gaussian_field(48, 30.0, 4.0, -3, "minus")),
+        ],
+    )
+    def test_matches_per_element_formatting(self, capsys, init, field, digits):
+        code, out, _ = run_cli(
+            ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",
+             "--init", init, "--digits", str(digits)],
+            capsys,
+        )
+        assert code == 0
+        assert out == reference_walk_csv(0.7, 0.15, 12, field(), digits)
 
 
 class TestConvergeCommand:
@@ -153,10 +194,12 @@ class TestCausalityCommand:
 
     def test_missing_neighbourhood_value_is_usage_error(self, capsys):
         for tail in (["--neighbourhood"], ["--neighbourhood", "--expect", "fail"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["causality", "--system", "xor", "--length", "4"] + tail)
-            assert exc.value.code == 2
+            assert main(["causality", "--system", "xor", "--length", "4"] + tail) == 2
             assert "expected one argument" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["causality", "--help"]) == 0
+        assert "--neighbourhood" in capsys.readouterr().out
 
     def test_xor_unexpected_pass_expectation_exits_one(self, capsys):
         code, out, _ = run_cli(

@@ -240,6 +240,62 @@ class TestFourierReference:
         assert np.max(np.abs(out.psi_minus - np.fft.ifft(evolved[:, 1]))) < 1e-12
 
 
+def roll_recurrence(f, mass, eps, steps):
+    """The recurrence as written in the module docstring, one np.roll per shift."""
+    c, s = math.cos(mass * eps), math.sin(mass * eps)
+    pp, pm = f.psi_plus.copy(), f.psi_minus.copy()
+    for _ in range(steps):
+        pp, pm = c * np.roll(pp, 1) - 1j * s * pm, c * np.roll(pm, -1) - 1j * s * pp
+    return pp, pm
+
+
+def signed_zero_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    pp = rng.normal(size=grid) + 1j * rng.normal(size=grid)
+    pm = rng.normal(size=grid) + 1j * rng.normal(size=grid)
+    pp[::3] = complex(0.0, -0.0)
+    pm[1::3] = complex(-0.0, 0.0)
+    pp[1::4] = complex(-0.0, -0.0)
+    pm[::5] = 0.0
+    # products of these with c or s underflow to a zero whose sign depends on
+    # the order of the operands in numpy's (fused) complex multiply; the zero
+    # term they meet keeps that sign in the next step's amplitude
+    pp[2::7] = complex(5e-324, -1e-308)
+    pm[3::7] = 0.0
+    pm[5::7] = complex(-1e-308, 5e-324)
+    pp[4::7] = 0.0
+    return WalkField(pp, pm)
+
+
+class TestBitwiseRecurrence:
+    """`walk_evolve` reproduces the np.roll recurrence bit for bit: tobytes()
+    tells -0.0 from 0.0, which np.array_equal does not."""
+
+    @pytest.mark.parametrize("grid", [2, 8, 512])
+    @pytest.mark.parametrize("steps", [0, 1, 37])
+    @pytest.mark.parametrize("mass, eps", [(0.0, 0.1), (0.7, 0.3), (math.pi / 2, 1.0)])
+    def test_matches_roll_recurrence(self, grid, steps, mass, eps):
+        f = signed_zero_field(grid, grid + steps)
+        before = (f.psi_plus.tobytes(), f.psi_minus.tobytes())
+        out = walk_evolve(f, mass, eps, steps)
+        pp, pm = roll_recurrence(f, mass, eps, steps)
+        assert out.psi_plus.tobytes() == pp.tobytes()
+        assert out.psi_minus.tobytes() == pm.tobytes()
+        assert (f.psi_plus.tobytes(), f.psi_minus.tobytes()) == before
+        assert not np.shares_memory(out.psi_plus, f.psi_plus)
+        assert not np.shares_memory(out.psi_minus, f.psi_minus)
+
+    @pytest.mark.parametrize("grid", [2, 8, 512])
+    def test_repeated_steps_match_one_evolve(self, grid):
+        f = signed_zero_field(grid, 1)
+        g = f
+        for _ in range(37):
+            g = walk_step(g, 0.7, 0.3)
+        out = walk_evolve(f, 0.7, 0.3, 37)
+        assert g.psi_plus.tobytes() == out.psi_plus.tobytes()
+        assert g.psi_minus.tobytes() == out.psi_minus.tobytes()
+
+
 class TestDiracParams:
     def test_step_count(self):
         p = DiracParams(0.5, 0.1, 64, 1.0)

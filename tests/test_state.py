@@ -44,6 +44,11 @@ class TestConfiguration:
         assert c.symbol_at((3,)) == 1
         assert c.symbol_at((4,)) == 0
 
+    @pytest.mark.parametrize("symbols", [(1, 1), (1, 2)])
+    def test_rejects_repeated_point(self, symbols):
+        with pytest.raises(ValueError, match=r"point \(3,\)"):
+            Configuration(1, (((3,), symbols[0]), ((3,), symbols[1])))
+
 
 class TestShift:
     def test_empty_is_translation_invariant(self):

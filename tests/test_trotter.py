@@ -93,8 +93,9 @@ class TestGlobalHamiltonian:
         assert np.allclose(parts.odd.matrix, sum(terms[1::2]), rtol=0, atol=1e-13)
 
     def test_odd_ring_rejected(self):
+        parts = build_global_hamiltonian(random_coupling(2, 0), RingSpace(6, 2))
+        assert parts.total.matrix.shape == (64, 64)
         with pytest.raises(ValueError, match="even"):
-            build_global_hamiltonian(random_coupling(2, 0), RingSpace(6, 2))
             build_global_hamiltonian(random_coupling(2, 0), RingSpace(5, 2))
 
     def test_local_dim_mismatch(self):
