@@ -12,6 +12,7 @@ defaults that explicit flags override; every subcommand accepts
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
@@ -67,12 +68,16 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _write_output(path: str, text: str):
+def _open_output(path: str):
+    """`path` opened for writing, or stdout (left open) for `-`."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="ascii")
+
+
+def _write_output(path: str, text: str):
+    with _open_output(path) as fh:
+        fh.write(text)
 
 
 def _parse_floats(text: str, flag: str):
@@ -147,20 +152,22 @@ def _run_walk(cfg: RunConfig) -> int:
     if grid < 2 or grid % 2 != 0:
         raise UsageError("--grid: must be a positive even integer")
     f = _parse_init(p["init"], grid)
-    lines = ["t,x,re_plus,im_plus,re_minus,im_minus,prob"]
     # format(nan, spec) is already "nan", so _fmt's NaN branch is not needed
     spec = f".{cfg.digits}g"
     xs = [format(k * eps, spec) for k in range(grid)]
-    for s in range(steps + 1):
-        t = format(s * eps, spec)
-        for x, plus, minus in zip(xs, f.psi_plus.tolist(), f.psi_minus.tolist()):
-            lines.append(
+    # written one time slice at a time, so only one slice of rows is held
+    with _open_output(cfg.out) as fh:
+        fh.write("t,x,re_plus,im_plus,re_minus,im_minus,prob\n")
+        for s in range(steps + 1):
+            t = format(s * eps, spec)
+            rows = [
                 f"{t},{x},{plus.real:{spec}},{plus.imag:{spec}},{minus.real:{spec}},"
                 f"{minus.imag:{spec}},{abs(plus) ** 2 + abs(minus) ** 2:{spec}}"
-            )
-        if s < steps:
-            f = walk_step(f, mass, eps)
-    _write_output(cfg.out, "\n".join(lines) + "\n")
+                for x, plus, minus in zip(xs, f.psi_plus.tolist(), f.psi_minus.tolist())
+            ]
+            fh.write("\n".join(rows) + "\n")
+            if s < steps:
+                f = walk_step(f, mass, eps)
     if p["dump_state"]:
         with open(p["dump_state"], "w", encoding="ascii") as fh:
             fh.write(dump_state(_walk_to_wire_state(f), cfg.digits))

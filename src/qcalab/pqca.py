@@ -7,6 +7,17 @@ only blocks that touch occupied cells, which is exact because the
 scattering unitary fixes the all-empty block state; the dense backend
 builds the same phase map as a matrix on a periodic ring, the odd phase
 being the even one placed on the cells rotated by one.
+
+The sparse step expands each term into branches, one per choice of output
+column entry in each of its blocks, and sums the branches that reach the
+same configuration. The sum is keyed on the plain sorted cell tuple, which
+hashes and compares in C, and one `Configuration` is built per distinct
+output only. The sum is Kahan-compensated, starting from 0j, in the order
+the branches arise (terms in insertion order, blocks by ascending anchor,
+column entries by row). That order and the arithmetic
+`y = a - comp; t = s + y; comp = (t - s) - y` fix every bit of the output
+amplitudes, signed zeros included; reordering them changes the last bits
+and the printed digits of studies built on this stepper.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import DenseOperator, op_at, unitarity_defect
-from .state import PRUNE_THRESHOLD, Configuration, RingSpace, SparseState
+from .state import MAX_DENSE_DIM, PRUNE_THRESHOLD, Configuration, RingSpace, SparseState
 
 QUIESCENCE_TOL = 1e-10
 
@@ -89,13 +100,6 @@ def _block_anchor(point, parity: int) -> tuple:
     return tuple(p - ((p - parity) % 2) for p in point)
 
 
-def _kahan_add(acc: dict, key, value: complex):
-    s, comp = acc.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
-    y = value - comp
-    t = s + y
-    acc[key] = (t, (t - s) - y)
-
-
 def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
     """Apply the scattering unitary on every block of one phase's partition.
 
@@ -115,7 +119,7 @@ def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
     matrix = u.matrix
     dimension = state.dimension
     # per-column decode of the scattering matrix, shared by every block
-    column_outs: dict = {}
+    column_outs = []
     for idx in range(u.block_dim):
         column = matrix[:, idx]
         outs = []
@@ -127,49 +131,55 @@ def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
                 symbols.append(s)
             symbols.reverse()
             outs.append((tuple(symbols), complex(column[row])))
-        column_outs[idx] = outs
+        column_outs.append(outs)
+    # sorted cell tuple -> [sum, compensation]
     acc: dict = {}
     for config, amp in state.terms.items():
         occupied = dict(config.cells)
-        branches = [((), amp)]
         if dimension == 1:
             anchors = sorted({p[0] - ((p[0] - parity) % 2) for p in occupied})
-            for a0 in anchors:
-                left, right = (a0,), (a0 + 1,)
-                idx = d * occupied.get(left, 0) + occupied.get(right, 0)
-                expanded = []
-                for cells, a in branches:
-                    for symbols, coef in column_outs[idx]:
-                        add = cells
-                        if symbols[0]:
-                            add += ((left, symbols[0]),)
-                        if symbols[1]:
-                            add += ((right, symbols[1]),)
-                        expanded.append((add, a * coef))
-                branches = expanded
-            # ascending anchors and in-block offsets keep 1D cells sorted
-            for cells, a in branches:
-                _kahan_add(acc, Configuration._from_sorted(1, cells), a)
         else:
             anchors = sorted({_block_anchor(p, parity) for p in occupied})
-            for anchor in anchors:
-                block_cells = tuple(
-                    tuple(a + o for a, o in zip(anchor, off)) for off in offsets
-                )
+        branches = [((), amp)]
+        for anchor in anchors:
+            # this block's output fragments: its occupied cells and coefficient
+            if dimension == 1:
+                left, right = (anchor,), (anchor + 1,)
+                idx = d * occupied.get(left, 0) + occupied.get(right, 0)
+                fragments = [
+                    ((((left, s0),) if s0 else ()) + (((right, s1),) if s1 else ()), coef)
+                    for (s0, s1), coef in column_outs[idx]
+                ]
+            else:
+                block_cells = [tuple(a + o for a, o in zip(anchor, off)) for off in offsets]
                 idx = 0
                 for cell in block_cells:
                     idx = idx * d + occupied.get(cell, 0)
-                expanded = []
-                for cells, a in branches:
-                    for symbols, coef in column_outs[idx]:
-                        add = tuple(
-                            (cell, s) for cell, s in zip(block_cells, symbols) if s != 0
-                        )
-                        expanded.append((cells + add, a * coef))
-                branches = expanded
-            for cells, a in branches:
-                _kahan_add(acc, Configuration._from_sorted(dimension, tuple(sorted(cells))), a)
-    return SparseState(state.alphabet, state.dimension, {c: s for c, (s, _) in acc.items()})
+                fragments = [
+                    (tuple((cell, s) for cell, s in zip(block_cells, symbols) if s), coef)
+                    for symbols, coef in column_outs[idx]
+                ]
+            branches = [
+                (cells + add, a * coef) for cells, a in branches for add, coef in fragments
+            ]
+        if dimension != 1:
+            # ascending anchors and in-block offsets keep only 1D cells sorted
+            branches = [(tuple(sorted(cells)), a) for cells, a in branches]
+        for cells, a in branches:
+            pair = acc.get(cells)
+            if pair is None:
+                pair = acc[cells] = [0j, 0j]
+            s, comp = pair
+            y = a - comp
+            t = s + y
+            pair[0] = t
+            pair[1] = (t - s) - y
+    terms = {
+        Configuration._from_sorted(dimension, cells): s
+        for cells, (s, _) in acc.items()
+        if abs(s) > PRUNE_THRESHOLD
+    }
+    return SparseState._from_checked(state.alphabet, dimension, terms)
 
 
 def pqca_evolve(
@@ -177,6 +187,10 @@ def pqca_evolve(
 ) -> SparseState:
     """Alternate even/odd phases for `steps` steps (even first by default)."""
     flip = {"even": "odd", "odd": "even"}
+    if start_phase not in flip:
+        raise ValueError(f"start_phase must be 'even' or 'odd', got {start_phase!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     phase = start_phase
     for _ in range(steps):
         state = pqca_step(state, pqca, phase)
@@ -238,13 +252,35 @@ def save_unitary(u: ScatteringUnitary, path):
             fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
 
 
+def _header_int(path, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: header field {name} must be an integer, got {text!r}") from None
+
+
 def load_unitary(path) -> ScatteringUnitary:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: header must be 'd n'")
-        d, n = int(header[0]), int(header[1])
-        dim = d ** (2**n)
+        d, n = (_header_int(path, name, text) for name, text in zip("dn", header))
+        if d < 2:
+            raise ValueError(f"{path}: header field d must be >= 2, got {d}")
+        if n < 1:
+            raise ValueError(f"{path}: header field n must be >= 1, got {n}")
+        # d ** (2**n) by n squarings, stopped once past the cap, so a large n
+        # never builds a huge integer
+        dim = d
+        for _ in range(n):
+            if dim > MAX_DENSE_DIM:
+                break
+            dim *= dim
+        if dim > MAX_DENSE_DIM:
+            raise ValueError(
+                f"{path}: header fields d={d}, n={n} give a block dimension d^(2^n) "
+                f"above the cap {MAX_DENSE_DIM}"
+            )
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

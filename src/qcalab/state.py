@@ -146,6 +146,16 @@ class SparseState:
         self.terms = pruned
 
     @classmethod
+    def _from_checked(cls, alphabet: Alphabet, dimension: int, terms: dict) -> "SparseState":
+        # internal fast path: configurations of this dimension and alphabet,
+        # complex amplitudes already pruned at PRUNE_THRESHOLD
+        obj = object.__new__(cls)
+        obj.alphabet = alphabet
+        obj.dimension = dimension
+        obj.terms = terms
+        return obj
+
+    @classmethod
     def basis(cls, alphabet: Alphabet, dimension: int, support: dict | tuple = ()) -> "SparseState":
         config = Configuration(dimension, support)
         return cls(alphabet, dimension, {config: 1.0})

@@ -94,6 +94,15 @@ class TestWalkCsvBytes:
         assert code == 0
         assert out == reference_walk_csv(0.7, 0.15, 12, field(), digits)
 
+    def test_file_output_matches_stdout(self, capsys, tmp_path):
+        argv = ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",
+                "--init", "gauss:20.5:3:2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        path = tmp_path / "walk.csv"
+        assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode("ascii")
+
 
 class TestConvergeCommand:
     def test_csv_and_fitted_order(self, capsys):
@@ -165,6 +174,23 @@ class TestQuiescenceCommand:
         code, out, _ = run_cli(["quiescence", "--unitary-file", str(path)], capsys)
         assert code == 0
         assert "verdict: pass" in out
+
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("2 40", "header fields d=2, n=40 give a block dimension d^(2^n) above the cap 4096"),
+            ("2 x", "header field n must be an integer, got 'x'"),
+            ("2 -1", "header field n must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_header_is_parameter_error(self, capsys, tmp_path, header, message):
+        path = tmp_path / "u.txt"
+        path.write_text(header + "\n")
+        code, out, err = run_cli(["quiescence", "--unitary-file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestCausalityCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,15 @@ from qcalab.pqca import (
     regroup_pairs,
     save_unitary,
 )
-from qcalab.state import Alphabet, Configuration, RingSpace, SparseState, densify, sparsify
+from qcalab.state import (
+    PRUNE_THRESHOLD,
+    Alphabet,
+    Configuration,
+    RingSpace,
+    SparseState,
+    densify,
+    sparsify,
+)
 
 QUBIT = Alphabet(2)
 
@@ -38,6 +48,81 @@ def quiescence_preserving_unitary(seed: int) -> ScatteringUnitary:
 
 def particle(cell: int) -> SparseState:
     return SparseState.basis(QUBIT, 1, {(cell,): 1})
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def sector_unitary(d: int, n: int, seed: int) -> ScatteringUnitary:
+    """Quiescent block rule that keeps the particle number: identity on the
+    empty block and one Haar-random block per number of occupied cells
+    (1, ..., 2^n). The n = 1, d = 3 case is `1 (+) Q1 (+) Q2`."""
+    rng = np.random.default_rng(seed)
+    ncells = 2**n
+    counts = [
+        sum(1 for s in np.base_repr(idx, d).zfill(ncells) if s != "0") for idx in range(d**ncells)
+    ]
+    m = np.eye(d**ncells, dtype=np.complex128)
+    for k in range(1, ncells + 1):
+        sector = [idx for idx, c in enumerate(counts) if c == k]
+        m[np.ix_(sector, sector)] = haar_unitary(rng, len(sector))
+    return ScatteringUnitary(d, n, m)
+
+
+def _kahan_add(acc: dict, key, value: complex):
+    s, comp = acc.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
+    y = value - comp
+    t = s + y
+    acc[key] = (t, (t - s) - y)
+
+
+def reference_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
+    """The Configuration-keyed, per-branch Kahan summation that `pqca_step`
+    must reproduce bit for bit: same terms, same order, same amplitude bits."""
+    u = pqca.scattering
+    parity = 0 if phase == "even" else 1
+    d = u.alphabet_size
+    offsets = u.block_offsets
+    dimension = state.dimension
+    column_outs = {}
+    for idx in range(u.block_dim):
+        column = u.matrix[:, idx]
+        outs = []
+        for row in np.nonzero(np.abs(column) > PRUNE_THRESHOLD)[0]:
+            rest = int(row)
+            symbols = []
+            for _ in range(len(offsets)):
+                rest, s = divmod(rest, d)
+                symbols.append(s)
+            symbols.reverse()
+            outs.append((tuple(symbols), complex(column[row])))
+        column_outs[idx] = outs
+    acc = {}
+    for config, amp in state.terms.items():
+        occupied = dict(config.cells)
+        branches = [((), amp)]
+        anchors = sorted({tuple(p - ((p - parity) % 2) for p in point) for point in occupied})
+        for anchor in anchors:
+            block_cells = tuple(tuple(a + o for a, o in zip(anchor, off)) for off in offsets)
+            idx = 0
+            for cell in block_cells:
+                idx = idx * d + occupied.get(cell, 0)
+            expanded = []
+            for cells, a in branches:
+                for symbols, coef in column_outs[idx]:
+                    add = tuple((cell, s) for cell, s in zip(block_cells, symbols) if s != 0)
+                    expanded.append((cells + add, a * coef))
+            branches = expanded
+        for cells, a in branches:
+            _kahan_add(acc, Configuration(dimension, cells), a)
+    return SparseState(state.alphabet, dimension, {c: s for c, (s, _) in acc.items()})
+
+
+def term_bytes(state: SparseState) -> list:
+    """Terms in insertion order with the exact bits of each amplitude."""
+    return [(c, np.complex128(a).tobytes()) for c, a in state.terms.items()]
 
 
 class TestScatteringUnitary:
@@ -121,6 +206,123 @@ class TestPqcaEvolve:
         s = SparseState(QUBIT, 1, terms).normalized()
         out = pqca_evolve(s, Pqca(dirac_scattering_unitary(0.4, 0.25)), 200)
         assert abs(out.norm() - 1.0) < 200 * 1e-12
+
+
+    def test_unknown_start_phase_rejected(self):
+        with pytest.raises(ValueError, match="start_phase.*'sideways'"):
+            pqca_evolve(particle(0), Pqca(SWAP_U), 0, start_phase="sideways")
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be >= 0, got -3"):
+            pqca_evolve(particle(0), Pqca(SWAP_U), -3)
+
+
+def assert_steps_match(state: SparseState, pq: Pqca, steps: int) -> SparseState:
+    """Step `pqca_step` and `reference_step` side by side from `state`,
+    even phase first, and compare them bit for bit after every step."""
+    ref = state
+    for step in range(steps):
+        phase = "even" if step % 2 == 0 else "odd"
+        state = pqca_step(state, pq, phase)
+        ref = reference_step(ref, pq, phase)
+        assert term_bytes(state) == term_bytes(ref), f"step {step}"
+    return state
+
+
+class TestBitwiseStep:
+    """`pqca_step` equals the Configuration-keyed reference summation by key
+    order and by `tobytes()`, which tells -0.0 from 0.0 where == does not."""
+
+    def test_dirac_collision(self):
+        # four particles packed into neighbouring blocks; mass * eps = 0.75
+        cells = tuple(((x,), 1) for x in (10, 12, 14, 16))
+        s = SparseState(QUBIT, 1, {Configuration(1, cells): 1.0})
+        out = assert_steps_match(s, Pqca(dirac_scattering_unitary(2.5, 0.3)), 8)
+        assert len(out) > 1000
+
+    def test_d3_sector_rule(self):
+        s = SparseState(Alphabet(3), 1, {Configuration(1, {(2,): 1, (3,): 2}): 1.0})
+        out = assert_steps_match(s, Pqca(sector_unitary(3, 1, 4)), 3)
+        assert len(out) > 50
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            dirac_scattering_unitary(0.8, 0.6),
+            ScatteringUnitary(
+                2, 1, np.array([[1, 0, 0, 0], [0, 0, -1, 0], [0, 1j, 0, 0], [0, 0, 0, -1]])
+            ),
+        ],
+        ids=["dirac", "signed_permutation"],
+    )
+    def test_signed_zero_amplitudes(self, u):
+        terms = {
+            Configuration(1, {(0,): 1}): complex(0.6, -0.0),
+            Configuration(1, {(1,): 1}): complex(-0.0, -0.48),
+            Configuration(1, {(0,): 1, (3,): 1}): complex(-0.64, 0.0),
+            Configuration(1, {(4,): 1}): complex(0.3, 0.0),
+        }
+        s = SparseState(QUBIT, 1, terms)
+        assert any(np.signbit([a.real, a.imag]).any() for a in s.terms.values())
+        assert_steps_match(s, Pqca(u), 4)
+
+    def test_two_dimensional_rule(self):
+        terms = {
+            Configuration(2, {(0, 0): 1, (3, 1): 1}): complex(0.6, -0.0),
+            Configuration(2, {(1, 1): 1}): complex(-0.0, 0.8),
+        }
+        s = SparseState(QUBIT, 2, terms)
+        out = assert_steps_match(s, Pqca(sector_unitary(2, 2, 3)), 3)
+        assert len(out) > 100
+
+
+class TestPqcaStepTwoDimensions:
+    """The n-D block path on 2x2 blocks of a particle-number-keeping rule."""
+
+    U = sector_unitary(2, 2, 11)
+
+    def test_two_blocks_give_kron_of_block_columns(self):
+        s = SparseState.basis(QUBIT, 2, {(0, 0): 1, (2, 3): 1})
+        out = pqca_step(s, Pqca(self.U), "even")
+        # blocks anchored at (0, 0) and (2, 2); in-block offsets in
+        # lexicographic order, first most significant: (0, 0) -> column 8,
+        # (0, 1) -> column 4
+        cells = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+        product = np.kron(self.U.matrix[:, 8], self.U.matrix[:, 4])
+        window = RingSpace(len(cells), 2)
+        expected = {}
+        for idx in np.nonzero(np.abs(product) > PRUNE_THRESHOLD)[0]:
+            symbols = window.symbols_of(int(idx))
+            config = Configuration(2, {c: s for c, s in zip(cells, symbols) if s})
+            expected[config] = product[idx]
+        assert len(expected) == 16
+        assert set(out.terms) == set(expected)
+        for config, amp in expected.items():
+            assert abs(out.terms[config] - amp) < 1e-15
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def two_particle_state(self) -> SparseState:
+        terms = {
+            Configuration(2, {(0, 0): 1, (3, 1): 1}): complex(0.6, 0.1),
+            Configuration(2, {(1, 2): 1}): complex(-0.3, 0.5),
+            Configuration(2, {(-2, 1): 1, (-1, 1): 1}): complex(0.2, -0.4),
+        }
+        return SparseState(QUBIT, 2, terms).normalized()
+
+    def test_norm_preserved(self):
+        s = self.two_particle_state()
+        for step in range(4):
+            s = pqca_step(s, Pqca(self.U), "even" if step % 2 == 0 else "odd")
+            assert abs(s.norm() - 1.0) < 1e-12
+
+    def test_inverse_rule_in_reverse_phase_order_returns_start(self):
+        start = self.two_particle_state()
+        forward = pqca_evolve(start, Pqca(self.U), 4)
+        inverse = Pqca(ScatteringUnitary(2, 2, self.U.matrix.conj().T))
+        back = pqca_evolve(forward, inverse, 4, start_phase="odd")
+        keys = set(back.terms) | set(start.terms)
+        assert max(abs(back.terms.get(c, 0) - start.terms.get(c, 0)) for c in keys) < 1e-12
+        assert len(forward) > len(start)
 
 
 class TestRingOperator:
@@ -222,6 +424,35 @@ class TestUnitaryFile:
         assert lines[0] == "2 1"
         assert len(lines) == 5
         assert lines[1].split() == ["1", "0", "0", "0", "0", "0", "0", "0"]
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("2", "header must be 'd n'"),
+            ("x 1", "header field d must be an integer, got 'x'"),
+            ("2 x", "header field n must be an integer, got 'x'"),
+            ("2 1.0", "header field n must be an integer, got '1.0'"),
+            ("1 1", "header field d must be >= 2, got 1"),
+            ("2 -1", "header field n must be >= 1, got -1"),
+            ("2 0", "header field n must be >= 1, got 0"),
+            ("65 1", re.escape("d=65, n=1 give a block dimension d^(2^n) above the cap 4096")),
+            ("2 4", "d=2, n=4 give a block dimension"),
+            ("2 40", "d=2, n=40 give a block dimension"),
+            ("2 1000000000000", "d=2, n=1000000000000 give a block dimension"),
+        ],
+    )
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_unitary(path)
+
+    def test_header_at_cap_reads_rows(self, tmp_path):
+        # 64^2 = 4096 is allowed; the missing rows are what fails
+        path = tmp_path / "rows.txt"
+        path.write_text("64 1\n")
+        with pytest.raises(ValueError, match="expected 4096 matrix rows, got 0"):
+            load_unitary(path)
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
