@@ -18,7 +18,6 @@ from .operators import (
     DenseOperator,
     DensityMatrix,
     apply,
-    heisenberg_image,
     hermitian_exp,
     partial_trace,
     spectral_norm,

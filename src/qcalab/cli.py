@@ -68,11 +68,27 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+def _open_for_writing(flag: str, path: str):
+    """`path` opened for writing; a path that cannot be opened is a usage
+    error naming `flag`."""
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _open_output(path: str):
-    """`path` opened for writing, or stdout (left open) for `-`."""
+    """`--out`: `path` opened for writing, or stdout (left open) for `-`."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="ascii")
+    return _open_for_writing("--out", path)
+
+
+def _load_unitary_file(path: str):
+    try:
+        return load_unitary(path)
+    except OSError as exc:
+        raise UsageError(f"--unitary-file: cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write_output(path: str, text: str):
@@ -169,7 +185,7 @@ def _run_walk(cfg: RunConfig) -> int:
             if s < steps:
                 f = walk_step(f, mass, eps)
     if p["dump_state"]:
-        with open(p["dump_state"], "w", encoding="ascii") as fh:
+        with _open_for_writing("--dump-state", p["dump_state"]) as fh:
             fh.write(dump_state(_walk_to_wire_state(f), cfg.digits))
     return 0
 
@@ -296,7 +312,7 @@ def _causality_instance(p: dict, seed: int):
     if system == "file":
         if not p["unitary_file"]:
             raise UsageError("--unitary-file: required for --system file")
-        u = load_unitary(p["unitary_file"])
+        u = _load_unitary_file(p["unitary_file"])
         cells = p["cells"]
         if cells % 4 != 0:
             raise UsageError("--cells: composed step needs a multiple of 4 for supercells")
@@ -355,7 +371,7 @@ def _run_signal(cfg: RunConfig) -> int:
 def _run_quiescence(cfg: RunConfig) -> int:
     p = cfg.params
     if p["unitary_file"]:
-        u = load_unitary(p["unitary_file"])
+        u = _load_unitary_file(p["unitary_file"])
         label = p["unitary_file"]
     else:
         if p["epsilon"] <= 0:

@@ -1,6 +1,6 @@
 """Dense operators on a finite cell register: application, partial traces,
-Heisenberg images, minimal-support extraction, Hermitian exponentials and
-trace distance. Everything is plain numpy; sizes are capped by RingSpace.
+minimal-support extraction, Hermitian exponentials and trace distance.
+Everything is plain numpy; sizes are capped by RingSpace.
 
 `op_at` is the one embedding primitive: every "local matrix on cells S of
 the register, identity elsewhere" (single-cell probes, block phases on
@@ -160,20 +160,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(dk, dk), keep, d)
 
 
-def heisenberg_image(g: DenseOperator, a: DenseOperator, support_hint=None) -> DenseOperator:
-    """Conjugate an observable by a unitary step: g^dag a g.
-
-    `support_hint` is accepted for callers that track expected localization;
-    the dense computation does not need it. Non-unitary `g` is rejected.
-    """
-    defect = unitarity_defect(g)
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"operator is not unitary: defect {defect:.3e}")
-    if g.ring != a.ring:
-        raise ValueError("operator ring mismatch")
-    return DenseOperator(g.ring, g.matrix.conj().T @ a.matrix @ g.matrix)
-
-
 def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     """Minimal cell set outside of which `op` acts as the identity.
 
@@ -285,17 +271,6 @@ def op_at(ring: RingSpace, cells, local: np.ndarray) -> DenseOperator:
     return DenseOperator(ring, out)
 
 
-def matrix_units(d: int):
-    """The d^2 matrix units, a complete single-cell operator basis."""
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
 def translation_operator(ring: RingSpace) -> DenseOperator:
     """One-cell cyclic translation: content of cell i+1 moves to cell i."""
     dim = ring.dim
@@ -327,12 +302,3 @@ def tensor_state(ring: RingSpace, factors) -> np.ndarray:
         raise ValueError(f"factors do not partition the register: {sorted(cells_order)}")
     src = [cells_order.index(c) for c in range(ring.cell_count)]
     return full.reshape([d] * ring.cell_count).transpose(src).reshape(-1)
-
-
-def format_matrix(op, digits: int = 6) -> str:
-    """Row-major `re+imi` debug rendering."""
-    m = _as_matrix(op)
-    rows = []
-    for row in m:
-        rows.append(" ".join(f"{z.real:+.{digits}g}{z.imag:+.{digits}g}i" for z in row))
-    return "\n".join(rows)

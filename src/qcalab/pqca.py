@@ -259,6 +259,13 @@ def _header_int(path, name: str, text: str) -> int:
         raise ValueError(f"{path}: header field {name} must be an integer, got {text!r}") from None
 
 
+def _row_entry(path, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: entry {text!r} is not a number") from None
+
+
 def load_unitary(path) -> ScatteringUnitary:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
@@ -285,7 +292,7 @@ def load_unitary(path) -> ScatteringUnitary:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = [float(x) for x in line.split()]
+            parts = [_row_entry(path, lineno, text) for text in line.split()]
             if len(parts) != 2 * dim:
                 raise ValueError(f"{path}:{lineno}: expected {2 * dim} numbers, got {len(parts)}")
             rows.append([complex(parts[2 * k], parts[2 * k + 1]) for k in range(dim)])

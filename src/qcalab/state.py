@@ -104,9 +104,6 @@ class Configuration:
     def support(self) -> tuple:
         return tuple(p for p, _ in self.cells)
 
-    def is_empty(self) -> bool:
-        return not self.cells
-
     def translated(self, axis: int, amount: int) -> "Configuration":
         """Support moved by `amount` along `axis` (content relabelled)."""
         if not (0 <= axis < self.dimension):

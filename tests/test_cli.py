@@ -193,6 +193,39 @@ class TestQuiescenceCommand:
         assert message in err
 
 
+class TestUnopenableFiles:
+    """A file flag whose path cannot be opened exits 2 naming the flag and
+    the path, with nothing on stdout."""
+
+    @pytest.mark.parametrize("subcommand", [["quiescence"], ["causality", "--system", "file"]])
+    def test_missing_unitary_file(self, capsys, tmp_path, subcommand):
+        path = tmp_path / "missing" / "u.txt"
+        code, out, err = run_cli(subcommand + ["--unitary-file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"--unitary-file: cannot read {path}" in err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "w.csv"
+        code, out, err = run_cli(["walk", "--grid", "8", "--steps", "2", "--init", "delta:2",
+                                  "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"--out: cannot write {path}" in err
+
+    def test_dump_state_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "state.txt"
+        code, _, err = run_cli(["walk", "--grid", "8", "--steps", "2", "--init", "delta:2",
+                                "--out", str(tmp_path / "w.csv"), "--dump-state", str(path)], capsys)
+        assert code == 2
+        assert f"--dump-state: cannot write {path}" in err
+
+    def test_non_numeric_unitary_entry(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("2 1\n1 0 0 0 0 0 x 0\n")
+        code, out, err = run_cli(["quiescence", "--unitary-file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"{path}:2: entry 'x' is not a number" in err
+
+
 class TestCausalityCommand:
     def test_dirac_passes_when_expected(self, capsys):
         code, out, _ = run_cli(

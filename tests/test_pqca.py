@@ -459,3 +459,10 @@ class TestUnitaryFile:
         path.write_text("2 1\n1 0\n")
         with pytest.raises(ValueError, match="expected 8 numbers"):
             load_unitary(path)
+
+    def test_non_numeric_entry_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 1\n1 0 0 0 0 0 0 0\n1 0 0 0 0 0 x 0\n")
+        with pytest.raises(ValueError) as err:
+            load_unitary(path)
+        assert str(err.value) == f"{path}:3: entry 'x' is not a number"

@@ -4,22 +4,32 @@ import numpy as np
 import pytest
 
 from qcalab.dirac import dirac_scattering_unitary
+from qcalab import structure
 from qcalab.operators import (
     DenseOperator,
     density_from_vector,
     identity_operator,
+    op_at,
     partial_trace,
     support_of,
     tensor_state,
     trace_distance,
     unitarity_defect,
 )
-from qcalab.pqca import Pqca, composed_step_operator, pqca_as_ring_operator, regroup_pairs
+from qcalab.pqca import (
+    Pqca,
+    ScatteringUnitary,
+    composed_step_operator,
+    pqca_as_ring_operator,
+    regroup_pairs,
+)
 from qcalab.state import RingSpace
 from qcalab.structure import (
     EMPTY,
     F_SYM,
     T_SYM,
+    CausalityReport,
+    CausalityWitness,
     XorWord,
     build_localization,
     causality_check,
@@ -168,6 +178,147 @@ class TestCausalityCheck:
         ring = RingSpace(2, 2)
         with pytest.raises(ValueError, match="not unitary"):
             causality_check(DenseOperator(ring, 2 * np.eye(4)), (0,))
+
+
+def reference_causality(g, neighbourhood, *, periodic=True, tol=1e-10):
+    """The check with every image built in full: for every cell and every
+    matrix unit, the unit embedded by `op_at`, conjugated by two dense
+    products and passed to `support_of`."""
+    ring = g.ring
+    n, d = ring.cell_count, ring.local_dim
+    gm = g.matrix
+    gd = gm.conj().T
+    witnesses = []
+    for x in range(n):
+        if isinstance(neighbourhood, dict):
+            allowed = set(neighbourhood[x])
+        elif periodic:
+            allowed = {(x + off) % n for off in neighbourhood}
+        else:
+            allowed = {x + off for off in neighbourhood if 0 <= x + off < n}
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                a = op_at(ring, (x,), unit)
+                supp = support_of(DenseOperator(ring, gd @ a.matrix @ gm), tol)
+                if not set(supp) <= allowed:
+                    witnesses.append(CausalityWitness(x, (i, j), supp, tuple(sorted(allowed))))
+    return CausalityReport(not witnesses, tuple(witnesses), neighbourhood, periodic)
+
+
+def dirac_supercell_step(cells, mass=0.7, eps=0.35):
+    pq = Pqca(dirac_scattering_unitary(mass, eps))
+    return regroup_pairs(composed_step_operator(pq, RingSpace(cells, 2)))
+
+
+def phase_broken_step():
+    """The 8-cell Dirac step followed by a phase on one supercell."""
+    g = dirac_supercell_step(8)
+    phase = op_at(g.ring, (2,), np.diag([1.0, np.exp(0.3j), 1.0, 1.0]))
+    return DenseOperator(g.ring, phase.matrix @ g.matrix)
+
+
+def quiescent_d3_step():
+    """A d=3 rule `1 (+) Q1 (+) Q2` (Haar blocks on the one- and
+    two-particle block states) as a composed step on 2 supercells."""
+    rng = np.random.default_rng(11)
+    m = np.eye(9, dtype=complex)
+    for sector in ((1, 2, 3, 6), (4, 5, 7, 8)):
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m[np.ix_(sector, sector)] = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    pq = Pqca(ScatteringUnitary(3, 1, m))
+    return regroup_pairs(composed_step_operator(pq, RingSpace(4, 3)))
+
+
+SUPERCELL_NEIGHBOURHOODS = [(-1, 0, 1), (0,), (0, 1), (-1, 0)]
+
+
+class TestCausalityAgainstReference:
+    """`causality_check` builds only some images; its report, witness order
+    included, must equal the one from every image built in full."""
+
+    @pytest.mark.parametrize("cells", [4, 8])
+    @pytest.mark.parametrize("nbhd", SUPERCELL_NEIGHBOURHOODS)
+    def test_dirac_supercell_steps(self, cells, nbhd):
+        g = dirac_supercell_step(cells)
+        assert causality_check(g, nbhd) == reference_causality(g, nbhd)
+
+    @pytest.mark.parametrize("length", [4, 5])
+    @pytest.mark.parametrize("nbhd", [(-2, -1, 0, 1, 2), (0, 1), (0,)])
+    def test_xor_windows(self, length, nbhd):
+        g = xor_lifted(length)
+        rep = causality_check(g, nbhd, periodic=False)
+        assert rep == reference_causality(g, nbhd, periodic=False)
+        assert rep.witnesses
+
+    def test_block_layer_dict_neighbourhood(self):
+        j, blocks = dirac_block_layer()
+        assert causality_check(j, blocks) == reference_causality(j, blocks)
+        shrunk = {x: {x} for x in blocks}
+        rep = causality_check(j, shrunk)
+        assert rep.witnesses and rep == reference_causality(j, shrunk)
+
+    @pytest.mark.parametrize("nbhd", [(-1, 0, 1), (0,)])
+    def test_d3_quiescent_rule(self, nbhd):
+        g = quiescent_d3_step()
+        assert causality_check(g, nbhd) == reference_causality(g, nbhd)
+
+    @pytest.mark.parametrize("nbhd", SUPERCELL_NEIGHBOURHOODS)
+    def test_step_broken_at_one_cell(self, nbhd):
+        g = phase_broken_step()
+        assert causality_check(g, nbhd) == reference_causality(g, nbhd)
+
+    def test_witnesses_are_found(self):
+        for g in (dirac_supercell_step(8), phase_broken_step()):
+            rep = causality_check(g, (0,))
+            assert not rep.passed and len(rep.witnesses) == 64
+
+    @pytest.mark.parametrize(
+        "g,kwargs,images",
+        [
+            (dirac_supercell_step(8), {}, 10),  # cell 0 only, i <= j
+            (phase_broken_step(), {}, 4 * 10),
+            (xor_lifted(4), {"periodic": False}, 4 * 6),
+        ],
+    )
+    def test_images_built(self, monkeypatch, g, kwargs, images):
+        calls = []
+
+        def counted(op, tol):
+            calls.append(op)
+            return support_of(op, tol)
+
+        monkeypatch.setattr(structure, "support_of", counted)
+        causality_check(g, (-1, 0, 1), **kwargs)
+        assert len(calls) == images
+
+
+class TestTranslationInvariance:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            identity_operator(RingSpace(4, 2)),
+            single_cell_product(RingSpace(4, 2), quiescence_preserving_local(2, 3)),
+            single_cell_product(RingSpace(3, 3), quiescence_preserving_local(3, 5)),
+            dirac_supercell_step(4),
+            dirac_supercell_step(8),
+        ],
+    )
+    def test_holds(self, g):
+        assert structure._translation_defect(g) <= 1e-3 * 1e-10
+
+    @pytest.mark.parametrize("g", [dirac_block_layer()[0], phase_broken_step()])
+    def test_fails(self, g):
+        assert structure._translation_defect(g) > 0.1
+
+    def test_matches_conjugation_by_translation(self):
+        from qcalab.operators import translation_operator
+
+        g = phase_broken_step()
+        t = translation_operator(g.ring).matrix
+        expected = np.linalg.norm(g.matrix - t @ g.matrix @ t.conj().T)
+        assert structure._translation_defect(g) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLocalization:
