@@ -103,6 +103,8 @@ def _parse_floats(text: str, flag: str):
         raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise UsageError(f"{flag}: empty list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag}: expected finite numbers, got {text!r}")
     return values
 
 
@@ -113,6 +115,18 @@ def _parse_offsets(text: str, flag: str):
         raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _init_field(kind: str, name: str, parse, text: str):
+    """One field of an `--init` spec, parsed by `int` or `float`."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if parse is int else "a finite number"
+        raise UsageError(f"--init: {kind} {name} must be {what}, got {text!r}")
+    return value
+
+
 def _parse_init(spec: str, grid: int) -> WalkField:
     parts = spec.split(":")
     kind = parts[0]
@@ -121,7 +135,7 @@ def _parse_init(spec: str, grid: int) -> WalkField:
         component = parts[-1]
         parts = parts[:-1]
     if kind == "delta" and len(parts) == 2:
-        site = int(parts[1])
+        site = _init_field(kind, "SITE", int, parts[1])
         if not (0 <= site < grid):
             raise UsageError(f"--init: delta site {site} violates 0 <= site < grid ({grid})")
         pp = np.zeros(grid, dtype=np.complex128)
@@ -129,9 +143,9 @@ def _parse_init(spec: str, grid: int) -> WalkField:
         (pp if component == "plus" else pm)[site] = 1.0
         return WalkField(pp, pm)
     if kind == "gauss" and len(parts) in (3, 4):
-        center = float(parts[1])
-        sigma = float(parts[2])
-        mode = int(parts[3]) if len(parts) == 4 else 0
+        center = _init_field(kind, "CENTER", float, parts[1])
+        sigma = _init_field(kind, "SIGMA", float, parts[2])
+        mode = _init_field(kind, "MODE", int, parts[3]) if len(parts) == 4 else 0
         if sigma <= 0:
             raise UsageError("--init: gauss sigma must be positive")
         return gaussian_field(grid, center, sigma, mode, component)
@@ -603,9 +617,16 @@ def _convert(opt: _Opt, raw: str):
     if opt.parse == "offsets":
         return _parse_offsets(raw, f"--{opt.name}")
     try:
-        return opt.parse(raw)
+        value = opt.parse(raw)
     except ValueError as exc:
         raise UsageError(f"--{opt.name}: invalid value {raw!r}") from exc
+    if opt.parse is float and not math.isfinite(value):
+        raise UsageError(f"--{opt.name}: expected a finite number, got {raw!r}")
+    return value
+
+
+# every subcommand's option names: one config file may serve several
+_OPTION_NAMES = {o.name for opts in (*_SUBCOMMANDS.values(), _COMMON) for o in opts}
 
 
 def _load_config_file(path: str) -> dict:
@@ -619,7 +640,10 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"--config: {path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _OPTION_NAMES:
+                    raise UsageError(f"--config: {path}:{lineno}: unknown key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}") from exc
     return values
@@ -640,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--config", *(f"--{o.name}" for opts in (*_SUBCOMMANDS.values(), _COMMON) for o in opts)}
+_VALUE_FLAGS = {"--config", *(f"--{name}" for name in _OPTION_NAMES)}
 
 
 def _attach_dash_values(argv) -> list:

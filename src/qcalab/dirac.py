@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pqca import Pqca, ScatteringUnitary, pqca_step
-from .state import Alphabet, Configuration, SparseState
+from .pqca import Pqca, ScatteringUnitary, _one_cell_terms, _Stepper
 
 
 @dataclass(frozen=True)
@@ -294,81 +293,63 @@ def gaussian_field(
     return f.normalized()
 
 
-def _field_to_sparse_pair(f: WalkField):
-    """Split a walk field into its two checkerboard copies as one-particle
-    sparse states. Copy A holds psi_plus on even sites and psi_minus on odd
-    sites (right-movers on the left cells of even-anchored blocks); copy B
-    holds the complement and steps with the odd phase first."""
-    alphabet = Alphabet(2)
-    terms_a: dict = {}
-    terms_b: dict = {}
-    for x in range(f.grid_size):
-        plus = complex(f.psi_plus[x])
-        minus = complex(f.psi_minus[x])
-        cfg = Configuration(1, (((x,), 1),))
-        if x % 2 == 0:
-            if plus != 0:
-                terms_a[cfg] = plus
-            if minus != 0:
-                terms_b[cfg] = minus
-        else:
-            if minus != 0:
-                terms_a[cfg] = minus
-            if plus != 0:
-                terms_b[cfg] = plus
-    return (
-        SparseState(alphabet, 1, terms_a),
-        SparseState(alphabet, 1, terms_b),
-    )
-
-
-def _sparse_pair_to_field(state_a: SparseState, state_b: SparseState, grid_size: int, layers_done: int):
-    """Read the two checkerboard copies back into a walk field after
-    `layers_done` steps. Returns (field, leakage): leakage collects the
-    magnitude of anything outside the one-particle sector or the grid
-    window."""
-    parity = layers_done % 2
-    pp = np.zeros(grid_size, dtype=np.complex128)
-    pm = np.zeros(grid_size, dtype=np.complex128)
-    leak = 0.0
-    for state, plus_parity in ((state_a, parity), (state_b, 1 - parity)):
-        for config, amp in state.terms.items():
-            if len(config.cells) != 1 or config.cells[0][1] != 1:
-                leak = max(leak, abs(amp))
-                continue
-            (x,) = config.cells[0][0]
-            if not (0 <= x < grid_size):
-                leak = max(leak, abs(amp))
-                continue
-            if x % 2 == plus_parity:
-                pp[x] += amp
-            else:
-                pm[x] += amp
-    return WalkField(pp, pm), leak
+def _read_copy(copy, pp: np.ndarray, pm: np.ndarray, plus_parity: int) -> float:
+    """Add a packed checkerboard copy's one-particle terms inside the grid
+    to the field (psi_plus at sites of `plus_parity`, psi_minus at the
+    others); return the largest modulus of its other terms (0.0 if none)."""
+    amp, start, points, symbols = copy
+    single = np.flatnonzero(np.diff(start) == 1)
+    cell = start[single]
+    x = points[cell, 0]
+    inside = (symbols[cell] == 1) & (x >= 0) & (x < len(pp))
+    outside = np.ones(len(amp), dtype=bool)
+    outside[single[inside]] = False
+    x, sector = x[inside], amp[single[inside]]
+    plus = x % 2 == plus_parity
+    pp[x[plus]] += sector[plus]
+    pm[x[~plus]] += sector[~plus]
+    # np.hypot is Python's abs of a complex, bit for bit
+    return float(np.hypot(amp.real[outside], amp.imag[outside]).max(initial=0.0))
 
 
 def walk_vs_engine_crosscheck(mass: float, eps: float, steps: int, init: WalkField) -> float:
     """Max modulus deviation between the walk recurrence and the block
     automaton acting on the embedded one-particle state, over all steps,
     sites and components. The init must keep its support inside the grid
-    window for the whole run (the sparse lattice does not wrap)."""
+    window for the whole run (the sparse lattice does not wrap).
+
+    The field splits into two checkerboard copies, each a one-particle
+    state of the automaton: copy A holds psi_plus on even sites and
+    psi_minus on odd ones (right-movers on the left cells of even-anchored
+    blocks) and steps even phase first; copy B holds the complement and
+    steps odd phase first. Both stay packed (`pqca._Packed`) and are read
+    back into a field after every step; anything outside the one-particle
+    sector or the grid window counts as deviation by its modulus. The
+    result is the same float, bit for bit, as stepping the copies as
+    `SparseState`s with `pqca_step`.
+    """
     if init.grid_size % 2 != 0:
         raise ValueError("crosscheck requires an even grid")
-    engine = Pqca(dirac_scattering_unitary(mass, eps))
-    state_a, state_b = _field_to_sparse_pair(init)
+    stepper = _Stepper(Pqca(dirac_scattering_unitary(mass, eps)).scattering)
+    sites = np.arange(init.grid_size)
+    even = sites % 2 == 0
+    ones = np.ones(init.grid_size, dtype=np.int64)
+    copy_a = _one_cell_terms(sites[:, None], ones, np.where(even, init.psi_plus, init.psi_minus))
+    copy_b = _one_cell_terms(sites[:, None], ones, np.where(even, init.psi_minus, init.psi_plus))
     f = init.copy()
     deviation = 0.0
     for s in range(steps):
-        phase_a = "even" if s % 2 == 0 else "odd"
-        phase_b = "odd" if s % 2 == 0 else "even"
-        state_a = pqca_step(state_a, engine, phase_a)
-        state_b = pqca_step(state_b, engine, phase_b)
+        copy_a = stepper.step(copy_a, s % 2)
+        copy_b = stepper.step(copy_b, 1 - s % 2)
         f = walk_step(f, mass, eps)
-        extracted, leak = _sparse_pair_to_field(state_a, state_b, init.grid_size, s + 1)
+        pp = np.zeros(init.grid_size, dtype=np.complex128)
+        pm = np.zeros(init.grid_size, dtype=np.complex128)
+        parity = (s + 1) % 2
+        leak = max(_read_copy(copy_a, pp, pm, parity), _read_copy(copy_b, pp, pm, 1 - parity))
         deviation = max(
             deviation,
             leak,
-            float(np.max(np.abs(extracted.psi_plus - f.psi_plus))),
-            float(np.max(np.abs(extracted.psi_minus - f.psi_minus))),
+            float(np.max(np.abs(pp - f.psi_plus))),
+            float(np.max(np.abs(pm - f.psi_minus))),
         )
     return deviation

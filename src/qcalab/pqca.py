@@ -9,21 +9,48 @@ builds the same phase map as a matrix on a periodic ring, the odd phase
 being the even one placed on the cells rotated by one.
 
 The sparse step expands each term into branches, one per choice of output
-column entry in each of its blocks, and sums the branches that reach the
-same configuration. The sum is keyed on the plain sorted cell tuple, which
-hashes and compares in C, and one `Configuration` is built per distinct
-output only. The sum is Kahan-compensated, starting from 0j, in the order
-the branches arise (terms in insertion order, blocks by ascending anchor,
-column entries by row). That order and the arithmetic
-`y = a - comp; t = s + y; comp = (t - s) - y` fix every bit of the output
-amplitudes, signed zeros included; reordering them changes the last bits
-and the printed digits of studies built on this stepper.
+row (fragment) of the block's column in each of its blocks, and sums the
+branches that reach the same configuration. Its definition is sequential,
+and that sequence fixes every bit of the result, signed zeros included:
+branches in generation order (terms in insertion order, blocks by
+ascending anchor, fragments by row), each amplitude the running product
+`a * c0 * c1 * ...`, each sum Kahan-compensated from 0j as
+`y = a - comp; t = s + y; comp = (t - s) - y`, outputs in order of first
+occurrence, pruned at `PRUNE_THRESHOLD`. Reordering any of it changes the
+last bits and the printed digits of studies built on this stepper.
+
+The stepper computes exactly that sequence on arrays:
+
+- Packed form (`_Packed`): amplitudes, per-term cell offsets, points and
+  symbols, terms in order and cells sorted by point. `pqca_evolve` packs
+  once, steps, and builds the `Configuration` dict once; the walk/engine
+  crosscheck in `dirac` stays packed throughout.
+- Branch numbers: a term's branches are numbered in mixed radix over its
+  blocks, first block most significant, which is generation order. A
+  chunk of branches is formed from its numbers by index arithmetic.
+- Canonical key: a configuration is its blocks' non-empty (anchor, row)
+  pairs by ascending anchor. A trie (`_Trie`) interns these sequences as
+  int64 nodes, so equal configurations get equal keys whichever term,
+  block level (an empty block output shifts the rest) or chunk they come
+  from.
+- Real-part product: amplitudes are multiplied on float64 parts as
+  `(ar*br - ai*bi, ar*bi + ai*br)`, running amplitude first, which is
+  Python's complex product; numpy's complex `*` differs from it in the
+  last bit for about half of random operands.
+- Rank-level Kahan: a chunk's branches are sorted stably by key, and level
+  r updates every key's r-th branch at once. Chunks come in generation
+  order, so each sum meets its branches in the sequential order and does
+  the same IEEE operations; complex + and - act on each part alone, in
+  numpy as in Python.
+- hypot pruning: Python's abs of a complex is hypot, and `np.hypot` gives
+  the same bits where `np.abs` does not always.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +123,370 @@ class Pqca:
             raise ValueError(f"scattering unitary does not preserve quiescence: defect {defect:.3e}")
 
 
-def _block_anchor(point, parity: int) -> tuple:
-    return tuple(p - ((p - parity) % 2) for p in point)
+# Branches are formed and keyed in chunks of at least this many, in
+# generation order, so a chunk's temporaries stay small. A step takes at
+# most _CHUNKS chunks: each chunk's new keys are inserted into the trie's
+# sorted table, a copy of the whole table.
+_CHUNK = 1 << 12
+_CHUNKS = 64
+
+
+class _Packed(NamedTuple):
+    """A sparse state as arrays, terms in order.
+
+    Term t has amplitude `amp[t]` (complex128) and the cells
+    `start[t]:start[t+1]` of `points` (int64, one row of n coordinates per
+    cell) and `symbols` (int64, nonzero), sorted by point as in
+    `Configuration.cells`. No two terms hold the same configuration.
+    """
+
+    amp: np.ndarray
+    start: np.ndarray
+    points: np.ndarray
+    symbols: np.ndarray
+
+
+def _pack(state: SparseState) -> _Packed:
+    configs = state.terms.keys()
+    cells = [cell for config in configs for cell in config.cells]
+    start = np.zeros(len(configs) + 1, dtype=np.int64)
+    np.cumsum([len(config.cells) for config in configs], out=start[1:])
+    points = np.array([p for p, _ in cells], dtype=np.int64).reshape(len(cells), state.dimension)
+    symbols = np.array([s for _, s in cells], dtype=np.int64)
+    return _Packed(np.array(list(state.terms.values()), dtype=np.complex128), start, points, symbols)
+
+
+def _one_cell_terms(points: np.ndarray, symbols: np.ndarray, amp: np.ndarray) -> _Packed:
+    """One term per cell, in the given order, each holding one cell; terms
+    whose amplitude is at or below `PRUNE_THRESHOLD` are left out, as
+    `SparseState` would leave them out."""
+    keep = np.hypot(amp.real, amp.imag) > PRUNE_THRESHOLD
+    return _Packed(
+        amp[keep],
+        np.arange(np.count_nonzero(keep) + 1, dtype=np.int64),
+        np.asarray(points, dtype=np.int64)[keep],
+        np.asarray(symbols, dtype=np.int64)[keep],
+    )
+
+
+def _unpack(packed: _Packed, alphabet, dimension: int) -> SparseState:
+    """The packed state as a `SparseState`, built _CHUNK terms at a time;
+    every configuration holding a given cell shares one `(point, symbol)`
+    tuple."""
+    amp, start, points, symbols = packed
+    counts = np.diff(start)
+    shared: dict = {}
+    terms: dict = {}
+    for lo in range(0, len(amp), _CHUNK):
+        hi = min(lo + _CHUNK, len(amp))
+        part = slice(start[lo], start[hi])
+        which, rows = _row_ids(*points[part].T, symbols[part])
+        distinct = zip(map(tuple, points[part][rows].tolist()), symbols[part][rows].tolist())
+        chosen = [shared.setdefault(cell, cell) for cell in distinct]
+        cells = map(chosen.__getitem__, which.tolist())
+        terms.update(
+            (Configuration._from_sorted(dimension, tuple(itertools.islice(cells, count))), z)
+            for count, z in zip(counts[lo:hi].tolist(), amp[lo:hi].tolist())
+        )
+    return SparseState._from_checked(alphabet, dimension, terms)
+
+
+def _row_ids(*columns: np.ndarray):
+    """Dense ids of the rows of equal-length columns, in lexicographic
+    order, and one row index holding each id."""
+    order = np.lexsort(columns[::-1])
+    head = np.ones(len(order), dtype=bool)
+    repeat = head[1:]  # a view: whether a sorted row equals the one before
+    for column in columns:
+        ordered = column[order]
+        repeat &= ordered[1:] == ordered[:-1]
+    np.logical_not(repeat, out=repeat)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(head) - 1
+    return ids, order[head]
+
+
+class _Trie:
+    """Canonical int64 keys for sequences of (anchor, row) pairs, each pair
+    coded as anchor id * block_dim + row with row > 0.
+
+    Node 0 is the empty sequence; `intern(parent, pair)` gives the node of
+    sequence `parent` followed by `pair`, the same node whichever term,
+    block level or chunk asks for it.
+    """
+
+    def __init__(self, radix: int, max_nodes: int):
+        if max_nodes * radix >= 2**63:
+            raise OverflowError("too many branches to key in int64")
+        self.radix = radix
+        self.keys = np.empty(0, dtype=np.int64)  # sorted parent * radix + pair
+        self.nodes = np.empty(0, dtype=np.int64)  # the node of each key
+        self.count = 1
+
+    def intern(self, parent: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        values = parent * self.radix + pair
+        order = np.argsort(values, kind="stable")
+        head = np.ones(len(values), dtype=bool)
+        head[1:] = values[order[1:]] != values[order[:-1]]
+        distinct = values[order[head]]
+        at = np.searchsorted(self.keys, distinct)
+        old = at < len(self.keys)
+        old[old] = self.keys[at[old]] == distinct[old]
+        node = np.empty(len(distinct), dtype=np.int64)
+        node[old] = self.nodes[at[old]]
+        fresh = np.flatnonzero(~old)
+        node[fresh] = np.arange(self.count, self.count + len(fresh))
+        self.count += len(fresh)
+        self.keys = np.insert(self.keys, at[fresh], distinct[fresh])
+        self.nodes = np.insert(self.nodes, at[fresh], node[fresh])
+        values[order] = node[np.cumsum(head) - 1]
+        return values
+
+    def unfold(self, node: np.ndarray) -> list:
+        """The pairs of each node's sequence, last first: one array per
+        position, 0 where a sequence has run out."""
+        key = np.zeros(self.count, dtype=np.int64)
+        key[self.nodes] = self.keys
+        pairs = []
+        while node.any():
+            pairs.append(key[node] % self.radix)
+            node = key[node] // self.radix
+        return pairs
+
+
+def _blocks(stepper: "_Stepper", state: _Packed, parity: int):
+    """The blocks of a packed state: the cells of one term that share an
+    anchor, terms in order and a term's anchors ascending. Returns each
+    block's term, its anchor's half coordinates (anchor = 2 * half +
+    parity) and its column of the scattering matrix."""
+    amp, start, points, symbols = state
+    term = np.repeat(np.arange(len(amp)), np.diff(start))
+    half = (points - parity) // 2
+    offset = ((points - parity) % 2 * stepper.offset_bits).sum(axis=1)
+    if stepper.dimension > 1:
+        # in 1D the sorted cells already come by ascending anchor
+        order = np.lexsort((*half.T[::-1], term))
+        term, half, offset, symbols = term[order], half[order], offset[order], symbols[order]
+    head = np.ones(len(term), dtype=bool)
+    head[1:] = (term[1:] != term[:-1]) | (half[1:] != half[:-1]).any(axis=1)
+    first = np.flatnonzero(head)
+    column = np.add.reduceat(symbols * stepper.weight[offset], first) if len(first) else first
+    return term[first], half[first], column
+
+
+class _Branches:
+    """The branches of one phase step of a packed state.
+
+    A block is the cells of one term that share an anchor; a term's blocks
+    go by ascending anchor. A branch picks one output row (fragment) of
+    the block's column for each block of its term. A term's branches are
+    numbered in mixed radix over its blocks, first block most significant,
+    and terms follow each other: the order in which the sequential loop
+    generated them.
+    """
+
+    def __init__(self, stepper: "_Stepper", state: _Packed, parity: int):
+        nterms = len(state.amp)
+        term, half, self.column = _blocks(stepper, state, parity)
+        self.anchor, rows = _row_ids(*half.T)
+        self.anchors = half[rows]
+        self.col_start, self.col_count = stepper.col_start, stepper.col_count
+        count = stepper.col_count[self.column]
+        self.nblocks = np.bincount(term, minlength=nterms)
+        self.first_block = np.cumsum(self.nblocks) - self.nblocks
+        self.depth = int(self.nblocks.max(initial=0))
+        self.stride = np.empty(len(term), dtype=np.int64)
+        branches = np.ones(nterms, dtype=np.int64)
+        for level in range(self.depth - 1, -1, -1):
+            deep = np.flatnonzero(self.nblocks > level)
+            b = self.first_block[deep] + level
+            self.stride[b] = branches[deep]
+            branches[deep] *= count[b]
+        self.start = np.zeros(nterms + 1, dtype=np.int64)
+        np.cumsum(branches, out=self.start[1:])
+        self.total = int(self.start[-1])
+
+    def levels(self, lo: int, hi: int):
+        """The term of each branch lo, ..., hi - 1, and an iterator over
+        the block levels giving which of them have a block there, the
+        block, and its fragment."""
+        first, end = np.count_nonzero(self.start <= lo) - 1, np.count_nonzero(self.start < hi)
+        edges = self.start[first : end + 1].copy()
+        edges[0], edges[-1] = lo, hi
+        t = np.repeat(np.arange(first, end), np.diff(edges))
+        return t, self._fragments(t, np.arange(lo, hi) - self.start[t])
+
+    def _fragments(self, t: np.ndarray, index: np.ndarray):
+        nblocks, first_block = self.nblocks[t], self.first_block[t]
+        for level in range(self.depth):
+            active = nblocks > level
+            b = np.where(active, first_block + level, 0)
+            column = self.column[b]
+            yield active, b, self.col_start[column] + index // self.stride[b] % self.col_count[column]
+
+
+class _KahanSums:
+    """Kahan-compensated sums per trie node, fed the branches in generation
+    order, with each node's first branch.
+
+    A chunk's branches join their nodes' sums in rank levels: level r holds
+    each node's r-th branch in the chunk, so every sum sees the IEEE
+    operations `y = a - comp; t = s + y; comp = (t - s) - y` of the
+    sequential loop in the same order. Complex + and - act on real and
+    imaginary parts apart, as Python's do.
+    """
+
+    def __init__(self, total: int):
+        self.total = total  # "no branch yet" in `first`
+        self.sums = np.zeros(1024, dtype=np.complex128)
+        self.comps = np.zeros(1024, dtype=np.complex128)
+        self.first = np.full(1024, total, dtype=np.int64)
+
+    def add(self, lo: int, key: np.ndarray, z: np.ndarray, nodes: int):
+        """Branches lo, lo + 1, ... with nodes `key` and amplitudes `z`."""
+        if nodes > len(self.first):
+            extra = max(nodes, 2 * len(self.first)) - len(self.first)
+            self.sums = np.concatenate((self.sums, np.zeros(extra, dtype=np.complex128)))
+            self.comps = np.concatenate((self.comps, np.zeros(extra, dtype=np.complex128)))
+            self.first = np.concatenate((self.first, np.full(extra, self.total, dtype=np.int64)))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.ones(len(key), dtype=bool)
+        head[1:] = key[1:] != key[:-1]
+        heads = np.flatnonzero(head)
+        # chunks come in generation order: a node's first chunk holds its first branch
+        unseen = self.first[key[heads]] == self.total
+        self.first[key[heads][unseen]] = lo + order[heads][unseen]
+        rank = np.arange(len(key)) - heads[np.cumsum(head) - 1]
+        by_rank = np.argsort(rank, kind="stable")
+        end = 0
+        for size in np.bincount(rank).tolist():
+            at = by_rank[end : end + size]
+            end += size
+            node = key[at]
+            y = z[order[at]] - self.comps[node]
+            old = self.sums[node]
+            new = old + y
+            self.comps[node] = (new - old) - y
+            self.sums[node] = new
+
+    def outputs(self):
+        """The nodes with a branch, in order of first branch, and their sums,
+        without sums at or below PRUNE_THRESHOLD. Python's abs of a complex
+        is hypot, and np.hypot gives the same bits."""
+        final = np.flatnonzero(self.first < self.total)
+        final = final[np.argsort(self.first[final], kind="stable")]
+        final = final[np.hypot(self.sums[final].real, self.sums[final].imag) > PRUNE_THRESHOLD]
+        return final, self.sums[final]
+
+
+class _Stepper:
+    """Array stepper for one scattering unitary: its column tables, built
+    once and shared by every step."""
+
+    def __init__(self, u: ScatteringUnitary):
+        n, nrows = u.dimension, u.block_dim
+        self.dimension = n
+        self.block_dim = nrows
+        # column c's outputs: rows frag_row[col_start[c]:col_start[c+1]],
+        # ascending, with |entry| above PRUNE_THRESHOLD
+        cols, rows = np.nonzero(np.abs(u.matrix.T) > PRUNE_THRESHOLD)
+        self.col_start = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=nrows), out=self.col_start[1:])
+        self.col_count = np.diff(self.col_start)
+        self.frag_row = rows
+        coef = u.matrix[rows, cols]
+        self.coef_re = coef.real.copy()
+        self.coef_im = coef.imag.copy()
+        # a block's column is sum(symbol * weight[offset]) over its cells,
+        # offsets numbered as in `block_offsets`, first most significant
+        self.weight = u.alphabet_size ** np.arange(2**n - 1, -1, -1, dtype=np.int64)
+        self.offset_bits = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # the nonzero cells of each row: offset vectors and symbols, ascending
+        row_symbols = (np.arange(nrows)[:, None] // self.weight) % u.alphabet_size
+        row_of, offset_of = np.nonzero(row_symbols)
+        self.row_cell_count = np.count_nonzero(row_symbols, axis=1)
+        self.row_cell_start = np.cumsum(self.row_cell_count) - self.row_cell_count
+        self.row_cell_offset = np.array(u.block_offsets, dtype=np.int64)[offset_of]
+        self.row_cell_symbol = row_symbols[row_of, offset_of]
+
+    def step(self, state: _Packed, parity: int) -> _Packed:
+        """One phase: the blocks anchored at `parity` + 2Z on every axis."""
+        return self._cells(*self._sum(state, parity))
+
+    def _sum(self, state: _Packed, parity: int):
+        """The outputs in order of first occurrence, without those at or
+        below PRUNE_THRESHOLD: the (anchor, row) pairs of each
+        (`_Trie.unfold`), its amplitude, and the anchor points by id. The
+        branches are formed and summed a chunk at a time, in generation
+        order."""
+        branches = _Branches(self, state, parity)
+        trie = _Trie(len(branches.anchors) * self.block_dim, branches.total * branches.depth + 1)
+        sums = _KahanSums(branches.total)
+        chunk = max(_CHUNK, -(-branches.total // _CHUNKS))
+        for lo in range(0, branches.total, chunk):
+            key, z = self._chunk(state.amp, branches, trie, lo, min(lo + chunk, branches.total))
+            sums.add(lo, key, z, trie.count)
+        nodes, amp = sums.outputs()
+        return trie.unfold(nodes), amp, 2 * branches.anchors + parity
+
+    def _chunk(self, amp: np.ndarray, branches: _Branches, trie: _Trie, lo: int, hi: int):
+        """Keys and amplitudes of branches lo, ..., hi - 1.
+
+        A branch's amplitude a * c0 * c1 * ... keeps the running amplitude
+        first and is written out on real parts, as Python's complex product
+        is. Its key folds its non-empty (anchor, row) pairs, by ascending
+        anchor, into a trie node: equal configurations, equal keys.
+        """
+        t, levels = branches.levels(lo, hi)
+        key = np.zeros(len(t), dtype=np.int64)
+        ar, ai = amp.real[t], amp.imag[t]
+        for active, b, frag in levels:
+            cr, ci = self.coef_re[frag], self.coef_im[frag]
+            ar, ai = (
+                np.where(active, ar * cr - ai * ci, ar),
+                np.where(active, ar * ci + ai * cr, ai),
+            )
+            row = self.frag_row[frag]
+            grow = np.flatnonzero(active & (row != 0))
+            key[grow] = trie.intern(key[grow], branches.anchor[b[grow]] * self.block_dim + row[grow])
+        z = np.empty(len(t), dtype=np.complex128)
+        z.real, z.imag = ar, ai
+        return key, z
+
+    def _cells(self, pairs: list, amp: np.ndarray, corners: np.ndarray) -> _Packed:
+        """The packed outputs, each one's cells built from its (anchor, row)
+        pairs (`_Trie.unfold`) and sorted by point."""
+        start = np.zeros(len(amp) + 1, dtype=np.int64)
+        for pair in pairs:
+            start[1:] += self.row_cell_count[pair % self.block_dim]
+        np.cumsum(start, out=start)
+        points = np.empty((start[-1], self.dimension), dtype=np.int64)
+        symbols = np.empty(start[-1], dtype=np.int64)
+        fill = start[1:].copy()
+        for pair in pairs:
+            # pairs come last first, by descending anchor: each one's cells
+            # go before those already written
+            row = pair % self.block_dim
+            count = self.row_cell_count[row]
+            fill -= count
+            owner = np.repeat(np.arange(len(row)), count)
+            within = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+            cell = self.row_cell_start[row[owner]] + within
+            at = fill[owner] + within
+            points[at] = corners[pair[owner] // self.block_dim] + self.row_cell_offset[cell]
+            symbols[at] = self.row_cell_symbol[cell]
+        if self.dimension > 1:
+            owner = np.repeat(np.arange(len(amp)), np.diff(start))
+            order = np.lexsort((*points.T[::-1], owner))
+            points, symbols = points[order], symbols[order]
+        return _Packed(amp, start, points, symbols)
+
+
+def _check_match(state: SparseState, pqca: Pqca):
+    u = pqca.scattering
+    if state.alphabet.size != u.alphabet_size or state.dimension != u.dimension:
+        raise ValueError("state alphabet/dimension does not match the scattering unitary")
 
 
 def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
@@ -109,93 +498,30 @@ def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
     """
     if phase not in ("even", "odd"):
         raise ValueError(f"phase must be 'even' or 'odd', got {phase!r}")
-    u = pqca.scattering
-    if state.alphabet.size != u.alphabet_size or state.dimension != u.dimension:
-        raise ValueError("state alphabet/dimension does not match the scattering unitary")
-    parity = 0 if phase == "even" else 1
-    d = u.alphabet_size
-    offsets = u.block_offsets
-    ncells = len(offsets)
-    matrix = u.matrix
-    dimension = state.dimension
-    # per-column decode of the scattering matrix, shared by every block
-    column_outs = []
-    for idx in range(u.block_dim):
-        column = matrix[:, idx]
-        outs = []
-        for row in np.nonzero(np.abs(column) > PRUNE_THRESHOLD)[0]:
-            rest = int(row)
-            symbols = []
-            for _ in range(ncells):
-                rest, s = divmod(rest, d)
-                symbols.append(s)
-            symbols.reverse()
-            outs.append((tuple(symbols), complex(column[row])))
-        column_outs.append(outs)
-    # sorted cell tuple -> [sum, compensation]
-    acc: dict = {}
-    for config, amp in state.terms.items():
-        occupied = dict(config.cells)
-        if dimension == 1:
-            anchors = sorted({p[0] - ((p[0] - parity) % 2) for p in occupied})
-        else:
-            anchors = sorted({_block_anchor(p, parity) for p in occupied})
-        branches = [((), amp)]
-        for anchor in anchors:
-            # this block's output fragments: its occupied cells and coefficient
-            if dimension == 1:
-                left, right = (anchor,), (anchor + 1,)
-                idx = d * occupied.get(left, 0) + occupied.get(right, 0)
-                fragments = [
-                    ((((left, s0),) if s0 else ()) + (((right, s1),) if s1 else ()), coef)
-                    for (s0, s1), coef in column_outs[idx]
-                ]
-            else:
-                block_cells = [tuple(a + o for a, o in zip(anchor, off)) for off in offsets]
-                idx = 0
-                for cell in block_cells:
-                    idx = idx * d + occupied.get(cell, 0)
-                fragments = [
-                    (tuple((cell, s) for cell, s in zip(block_cells, symbols) if s), coef)
-                    for symbols, coef in column_outs[idx]
-                ]
-            branches = [
-                (cells + add, a * coef) for cells, a in branches for add, coef in fragments
-            ]
-        if dimension != 1:
-            # ascending anchors and in-block offsets keep only 1D cells sorted
-            branches = [(tuple(sorted(cells)), a) for cells, a in branches]
-        for cells, a in branches:
-            pair = acc.get(cells)
-            if pair is None:
-                pair = acc[cells] = [0j, 0j]
-            s, comp = pair
-            y = a - comp
-            t = s + y
-            pair[0] = t
-            pair[1] = (t - s) - y
-    terms = {
-        Configuration._from_sorted(dimension, cells): s
-        for cells, (s, _) in acc.items()
-        if abs(s) > PRUNE_THRESHOLD
-    }
-    return SparseState._from_checked(state.alphabet, dimension, terms)
+    _check_match(state, pqca)
+    packed = _Stepper(pqca.scattering).step(_pack(state), 0 if phase == "even" else 1)
+    return _unpack(packed, state.alphabet, state.dimension)
 
 
 def pqca_evolve(
     state: SparseState, pqca: Pqca, steps: int, start_phase: str = "even"
 ) -> SparseState:
-    """Alternate even/odd phases for `steps` steps (even first by default)."""
-    flip = {"even": "odd", "odd": "even"}
-    if start_phase not in flip:
+    """Alternate even/odd phases for `steps` steps (even first by default).
+
+    The state stays packed between steps; the result equals `steps` calls
+    of `pqca_step`, bit for bit.
+    """
+    if start_phase not in ("even", "odd"):
         raise ValueError(f"start_phase must be 'even' or 'odd', got {start_phase!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    phase = start_phase
-    for _ in range(steps):
-        state = pqca_step(state, pqca, phase)
-        phase = flip[phase]
-    return state
+    _check_match(state, pqca)
+    stepper = _Stepper(pqca.scattering)
+    packed = _pack(state)
+    parity = 0 if start_phase == "even" else 1
+    for k in range(steps):
+        packed = stepper.step(packed, (parity + k) % 2)
+    return _unpack(packed, state.alphabet, state.dimension)
 
 
 def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOperator:

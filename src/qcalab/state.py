@@ -68,9 +68,9 @@ class Configuration:
     def _from_sorted(cls, dimension: int, cells: tuple) -> "Configuration":
         # internal fast path: cells already validated, sorted and canonical
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dimension", dimension)
-        object.__setattr__(obj, "cells", cells)
-        object.__setattr__(obj, "_hash", hash((dimension, cells)))
+        _set_dimension(obj, dimension)
+        _set_cells(obj, cells)
+        _set_hash(obj, hash((dimension, cells)))
         return obj
 
     def __setattr__(self, *_):
@@ -112,6 +112,13 @@ class Configuration:
             (p[:axis] + (p[axis] + amount,) + p[axis + 1 :], s) for p, s in self.cells
         )
         return Configuration(self.dimension, moved)
+
+
+# The slots' member descriptors, bound once: they set a slot past the
+# refusing `__setattr__` faster than `object.__setattr__` does.
+_set_dimension = Configuration.dimension.__set__
+_set_cells = Configuration.cells.__set__
+_set_hash = Configuration._hash.__set__
 
 
 def empty_configuration(dimension: int = 1) -> Configuration:

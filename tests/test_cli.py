@@ -39,6 +39,21 @@ class TestWalkCommand:
         assert code == 2
         assert "--grid" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gauss:x:3", "--init: gauss CENTER must be a finite number, got 'x'"),
+            ("gauss:4:inf", "--init: gauss SIGMA must be a finite number, got 'inf'"),
+            ("gauss:4:3:1.5", "--init: gauss MODE must be an integer, got '1.5'"),
+            ("delta:nan", "--init: delta SITE must be an integer, got 'nan'"),
+        ],
+    )
+    def test_bad_init_field_is_named(self, capsys, spec, message):
+        code, out, err = run_cli(["walk", "--grid", "16", "--init", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_bad_init_is_usage_error(self, capsys):
         code, _, err = run_cli(["walk", "--init", "delta:99", "--grid", "32"], capsys)
         assert code == 2
@@ -335,12 +350,52 @@ class TestConfigFile:
         assert code == 0
         assert len(out_override.strip().splitlines()) == 1 + 3 * 16
 
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=2\n\nbogus=1\n")
+        code, out, err = run_cli(["walk", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--config: {cfg}:3: unknown key 'bogus'" in err
+
+    def test_key_of_another_subcommand_allowed(self, capsys, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("cells=4\nmass=0\nsteps=1\ngrid=8\ninit=delta:4\n")
+        code, out, _ = run_cli(["walk", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 2 * 8
+
     def test_malformed_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("steps 4\n")
         code, _, err = run_cli(["walk", "--config", str(cfg)], capsys)
         assert code == 2
         assert "key=value" in err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["walk", "--grid", "64", "--steps", "2", "--mass", "nan"], "--mass"),
+            (["walk", "--grid", "64", "--steps", "2", "--epsilon", "inf"], "--epsilon"),
+            (["converge", "--eps", "0.1,nan"], "--eps"),
+            (["trotter", "--cells", "4", "--dt", "nan"], "--dt"),
+        ],
+    )
+    def test_rejected_naming_the_flag(self, capsys, args, flag):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {flag}: expected ")
+        assert "finite number" in err
+
+    def test_negative_infinity_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mass=-inf\n")
+        code, _, err = run_cli(["walk", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "--mass: expected a finite number, got '-inf'" in err
 
 
 class TestDigits:

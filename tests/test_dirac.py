@@ -15,7 +15,7 @@ from qcalab.dirac import (
     walk_step,
     walk_vs_engine_crosscheck,
 )
-from qcalab.pqca import Pqca, check_quiescence, pqca_evolve
+from qcalab.pqca import Pqca, check_quiescence, pqca_evolve, pqca_step
 from qcalab.state import Alphabet, Configuration, SparseState
 
 
@@ -202,6 +202,83 @@ class TestEngineCrosscheck:
     def test_gaussian_packet_hundred_steps(self):
         init = gaussian_field(512, 256.0, 10.0)
         assert walk_vs_engine_crosscheck(0.35, 0.2, 100, init) < 1e-9
+
+
+def reference_crosscheck(mass, eps, steps, init):
+    """The crosscheck on `SparseState` copies stepped by `pqca_step`, one
+    Python loop over sites and terms, as it was written before the copies
+    were packed; `walk_vs_engine_crosscheck` must return the same float."""
+    alphabet = Alphabet(2)
+    engine = Pqca(dirac_scattering_unitary(mass, eps))
+    terms_a, terms_b = {}, {}
+    for x in range(init.grid_size):
+        plus, minus = complex(init.psi_plus[x]), complex(init.psi_minus[x])
+        cfg = Configuration(1, (((x,), 1),))
+        for terms, amp in ((terms_a, plus), (terms_b, minus)) if x % 2 == 0 else ((terms_a, minus), (terms_b, plus)):
+            if amp != 0:
+                terms[cfg] = amp
+    state_a, state_b = SparseState(alphabet, 1, terms_a), SparseState(alphabet, 1, terms_b)
+    f = init.copy()
+    deviation = 0.0
+    for s in range(steps):
+        state_a = pqca_step(state_a, engine, "even" if s % 2 == 0 else "odd")
+        state_b = pqca_step(state_b, engine, "odd" if s % 2 == 0 else "even")
+        f = walk_step(f, mass, eps)
+        parity = (s + 1) % 2
+        pp = np.zeros(init.grid_size, dtype=np.complex128)
+        pm = np.zeros(init.grid_size, dtype=np.complex128)
+        leak = 0.0
+        for state, plus_parity in ((state_a, parity), (state_b, 1 - parity)):
+            for config, amp in state.terms.items():
+                if len(config.cells) != 1 or config.cells[0][1] != 1:
+                    leak = max(leak, abs(amp))
+                    continue
+                (x,) = config.cells[0][0]
+                if not (0 <= x < init.grid_size):
+                    leak = max(leak, abs(amp))
+                    continue
+                if x % 2 == plus_parity:
+                    pp[x] += amp
+                else:
+                    pm[x] += amp
+        deviation = max(
+            deviation,
+            leak,
+            float(np.max(np.abs(pp - f.psi_plus))),
+            float(np.max(np.abs(pm - f.psi_minus))),
+        )
+    return deviation
+
+
+class TestCrosscheckBits:
+    """The packed crosscheck returns the dict-based reference's float."""
+
+    @pytest.mark.parametrize(
+        "mass, eps, steps, init",
+        [
+            (0.9, 0.3, 30, gaussian_field(256, 128.0, 12.0, 3)),
+            (0.35, 0.2, 12, gaussian_field(128, 64.0, 6.0, -2, "minus")),
+            (0.0, 0.1, 10, delta_field(64, 32)),
+            (np.pi / 4, 1.0, 5, delta_field(64, 33, "minus")),
+        ],
+        ids=["gauss-plus", "gauss-minus", "massless-delta", "quarter-mass-delta"],
+    )
+    def test_equals_reference(self, mass, eps, steps, init):
+        assert walk_vs_engine_crosscheck(mass, eps, steps, init) == reference_crosscheck(mass, eps, steps, init)
+
+    def test_leak_through_the_window_edge(self):
+        # support that reaches the edge leaves the window on the unbounded
+        # lattice: the deviation is the largest leaked modulus
+        init = delta_field(16, 1, "minus")
+        got = walk_vs_engine_crosscheck(0.4, 0.5, 6, init)
+        assert got == reference_crosscheck(0.4, 0.5, 6, init)
+        assert got > 0.1
+
+    def test_signed_zeros_in_the_field(self):
+        f = gaussian_field(64, 32.0, 4.0, 1)
+        f = WalkField(f.psi_plus * complex(-0.0, 1.0), -f.psi_plus)
+        f.psi_minus[::3] = complex(-0.0, -0.0)
+        assert walk_vs_engine_crosscheck(0.6, 0.4, 8, f) == reference_crosscheck(0.6, 0.4, 8, f)
 
 
 class TestOneParticleSector:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ def reference_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
         for cells, a in branches:
             _kahan_add(acc, Configuration(dimension, cells), a)
     return SparseState(state.alphabet, dimension, {c: s for c, (s, _) in acc.items()})
+
+
+def reference_evolve(state: SparseState, pqca: Pqca, steps: int) -> SparseState:
+    """`reference_step` for `steps` steps, even phase first."""
+    for step in range(steps):
+        state = reference_step(state, pqca, ("even", "odd")[step % 2])
+    return state
 
 
 def term_bytes(state: SparseState) -> list:
@@ -274,6 +282,139 @@ class TestBitwiseStep:
         s = SparseState(QUBIT, 2, terms)
         out = assert_steps_match(s, Pqca(sector_unitary(2, 2, 3)), 3)
         assert len(out) > 100
+
+
+def emptying_unitary(theta: float) -> ScatteringUnitary:
+    """The Dirac block composed with a rotation by `theta` between the empty
+    block and the right-occupied one: a block holding one particle on its
+    right cell comes out empty with amplitude -sin(theta). Inside the
+    quiescence tolerance for theta = 1e-11, and far above PRUNE_THRESHOLD."""
+    g = np.eye(4, dtype=complex)
+    g[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return ScatteringUnitary(2, 1, dirac_scattering_unitary(2.5, 0.3).matrix @ g)
+
+
+def assert_evolve_matches_steps(state: SparseState, pq: Pqca, steps: int, start_phase: str = "even"):
+    """`pqca_evolve` equals `steps` calls of `pqca_step`, by key order and by
+    `tobytes()`."""
+    stepped = state
+    parity = 0 if start_phase == "even" else 1
+    for step in range(steps):
+        stepped = pqca_step(stepped, pq, ("even", "odd")[(parity + step) % 2])
+    evolved = pqca_evolve(state, pq, steps, start_phase)
+    assert term_bytes(evolved) == term_bytes(stepped)
+    return evolved
+
+
+class TestEvolveEqualsSteps:
+    """The packed state `pqca_evolve` carries between steps loses nothing
+    that a `SparseState` holds."""
+
+    def test_dirac_collision(self):
+        cells = tuple(((x,), 1) for x in (10, 12, 14, 16))
+        s = SparseState(QUBIT, 1, {Configuration(1, cells): 1.0})
+        assert len(assert_evolve_matches_steps(s, Pqca(dirac_scattering_unitary(2.5, 0.3)), 8)) > 1000
+
+    def test_d3_sector_rule(self):
+        s = SparseState(Alphabet(3), 1, {Configuration(1, {(2,): 1, (3,): 2}): 1.0})
+        assert len(assert_evolve_matches_steps(s, Pqca(sector_unitary(3, 1, 4)), 3)) > 50
+
+    def test_two_dimensional_rule(self):
+        terms = {
+            Configuration(2, {(0, 5): 1, (1, 0): 1, (-3, 2): 1}): complex(0.6, 0.1),
+            Configuration(2, {(1, 2): 1}): complex(-0.3, 0.5),
+        }
+        s = SparseState(QUBIT, 2, terms)
+        assert len(assert_evolve_matches_steps(s, Pqca(sector_unitary(2, 2, 5)), 3, "odd")) > 1000
+
+    def test_particles_created_and_removed(self):
+        # 1 (+) U(3) turns one particle into two and two into one; the empty
+        # configuration is a term of its own that no block touches
+        rng = np.random.default_rng(5)
+        terms = {Configuration(1, {}): complex(-0.0, 0.3)}
+        for _ in range(5):
+            cells = {(int(c),): 1 for c in rng.integers(-4, 6, size=rng.integers(1, 4))}
+            terms[Configuration(1, cells)] = complex(rng.normal(), rng.normal())
+        s = SparseState(QUBIT, 1, terms)
+        pq = Pqca(quiescence_preserving_unitary(2))
+        out = assert_evolve_matches_steps(s, pq, 2)
+        counts = {len(c.cells) for c in out.terms}
+        assert 0 in counts and max(counts) > 3
+        assert len(out) > 1000
+        assert term_bytes(out) == term_bytes(reference_evolve(s, pq, 2))
+
+    def test_blocks_emptied(self):
+        # an empty block output drops its pair from the key: a two-particle
+        # configuration comes both from three-particle terms with one block
+        # emptied, at any of their block levels, and from two-particle terms
+        s = SparseState(QUBIT, 1, {Configuration(1, {(1,): 1, (3,): 1, (9,): 1}): 1.0})
+        pq = Pqca(emptying_unitary(1e-11))
+        out = assert_evolve_matches_steps(s, pq, 4)
+        assert {len(c.cells) for c in out.terms} == {2, 3}
+        assert term_bytes(out) == term_bytes(reference_evolve(s, pq, 4))
+
+    def test_empty_state(self):
+        out = assert_evolve_matches_steps(SparseState(QUBIT, 1, {}), Pqca(SWAP_U), 3)
+        assert out.terms == {}
+
+    def test_signed_zero_amplitudes(self):
+        terms = {
+            Configuration(1, {(0,): 1}): complex(0.6, -0.0),
+            Configuration(1, {(1,): 1}): complex(-0.0, -0.48),
+            Configuration(1, {(0,): 1, (3,): 1}): complex(-0.64, 0.0),
+            Configuration(1, {}): complex(-0.0, -0.0),
+        }
+        s = SparseState._from_checked(QUBIT, 1, terms)
+        signed = ScatteringUnitary(
+            2, 1, np.array([[1, 0, 0, 0], [0, 0, -1, 0], [0, 1j, 0, 0], [0, 0, 0, -1]])
+        )
+        for u in (dirac_scattering_unitary(0.8, 0.6), signed):
+            assert_evolve_matches_steps(s, Pqca(u), 4)
+
+
+class TestPruning:
+    """Python's abs of a complex, which pruned the dict stepper's sums, is
+    np.hypot bit for bit."""
+
+    @staticmethod
+    def assert_hypot_is_abs(z: np.ndarray):
+        python = np.array([abs(complex(v)) for v in z])
+        assert np.hypot(z.real, z.imag).tobytes() == python.tobytes()
+
+    def test_random_values(self):
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        self.assert_hypot_is_abs(z * np.exp(rng.uniform(-40, 40, size=20000)))
+
+    def test_values_near_the_threshold(self):
+        rng = np.random.default_rng(12)
+        modulus = PRUNE_THRESHOLD + PRUNE_THRESHOLD * np.finfo(float).eps * rng.integers(-4, 5, size=4000)
+        z = modulus * np.exp(1j * rng.uniform(0, 2 * np.pi, size=4000))
+        self.assert_hypot_is_abs(z)
+        # both sides of the threshold occur, so the comparison decides something
+        kept = np.hypot(z.real, z.imag) > PRUNE_THRESHOLD
+        assert kept.any() and not kept.all()
+
+
+class TestWorkingSet:
+    # this test's tracemalloc peak with the per-term dict stepper that the
+    # packed one replaced (numpy 2.4.6, Python 3.11); the packed stepper
+    # peaks at about 4.4 MB
+    DICT_STEPPER_PEAK = 9_464_576
+
+    def test_peak_of_separated_particles(self):
+        cells = tuple(((x,), 1) for x in (0, 40, 80))
+        s = SparseState(QUBIT, 1, {Configuration(1, cells): 1.0})
+        pq = Pqca(dirac_scattering_unitary(2.5, 0.3))
+        pqca_evolve(s, pq, 2)
+        tracemalloc.start()
+        try:
+            out = pqca_evolve(s, pq, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 24**3
+        assert peak <= self.DICT_STEPPER_PEAK
 
 
 class TestPqcaStepTwoDimensions:
