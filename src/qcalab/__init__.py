@@ -39,7 +39,6 @@ from .pqca import (
 )
 from .dirac import (
     ConvergenceResult,
-    DiracParams,
     WalkField,
     convergence_study,
     dirac_plane_wave,

@@ -553,10 +553,6 @@ class _Opt:
     help: str
 
 
-def _float_list(text):
-    return _parse_floats(text, "--list")
-
-
 _COMMON = [
     _Opt("out", str, "-", "output path ('-' = stdout)"),
     _Opt("seed", int, 0, "seed for any randomized corpus"),

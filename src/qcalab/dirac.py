@@ -24,32 +24,6 @@ import numpy as np
 from .pqca import Pqca, ScatteringUnitary, _one_cell_terms, _Stepper
 
 
-@dataclass(frozen=True)
-class DiracParams:
-    """Mass, grid step, periodic grid size and total time of a walk run."""
-
-    mass: float
-    step: float
-    grid_size: int
-    total_time: float = 0.0
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be >= 0")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.grid_size < 2 or self.grid_size % 2 != 0:
-            raise ValueError("grid size must be a positive even integer")
-
-    def step_count(self) -> int:
-        n = self.total_time / self.step
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(
-                f"total time {self.total_time} is not an integer multiple of step {self.step}"
-            )
-        return int(round(n))
-
-
 @dataclass
 class WalkField:
     """Component amplitudes sampled on grid points x = step*k, k = 0..M-1."""
@@ -273,21 +247,16 @@ def gaussian_field(
     sigma: float,
     mode: int = 0,
     component: str = "plus",
-    site_parity: int | None = None,
 ) -> WalkField:
     """Normalized Gaussian packet with an optional momentum phase.
 
-    `mode` is the integer momentum index (phase exp(2 pi i mode x / M));
-    `site_parity` restricts support to sites of that parity, which keeps the
-    packet inside one checkerboard copy of the block automaton.
+    `mode` is the integer momentum index (phase exp(2 pi i mode x / M)).
     """
     if component not in ("plus", "minus"):
         raise ValueError("component must be 'plus' or 'minus'")
     x = np.arange(grid_size)
     amp = np.exp(-((x - center) ** 2) / (4.0 * sigma * sigma)).astype(np.complex128)
     amp *= np.exp(2j * math.pi * mode * x / grid_size)
-    if site_parity is not None:
-        amp[x % 2 != site_parity] = 0.0
     zero = np.zeros(grid_size, dtype=np.complex128)
     f = WalkField(amp, zero) if component == "plus" else WalkField(zero, amp)
     return f.normalized()

@@ -10,6 +10,7 @@ call to it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +46,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.ring.dim
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.ring, self.matrix.conj().T)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.ring != other.ring:
-            raise ValueError("operator ring mismatch")
-        return DenseOperator(self.ring, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -164,34 +157,35 @@ def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     """Minimal cell set outside of which `op` acts as the identity.
 
     A cell belongs to the support iff some commutator of `op` with a matrix
-    unit at that cell has Frobenius norm above `tol`. The commutator norms
-    with all d^2 matrix units are evaluated blockwise from a single
-    cell-major reshape, which is exactly the commutator test without
-    materializing each product.
+    unit E_ij at that cell has Frobenius norm above `tol`. Over the cell's
+    d x d blocks B_kl of `op`,
+
+        ||[op, E_ij]||^2 = ||B_ii - B_jj||^2
+                           + sum_{k != i} ||B_ki||^2 + sum_{l != j} ||B_jl||^2.
+
+    The block norms are sums over a reshape view of one |op|^2 array, and
+    the differences B_ii - B_jj (zero for i = j) subtract two strided views
+    of `op`, so no per-cell copy of `op` is made.
     """
-    n = op.ring.cell_count
-    d = op.ring.local_dim
-    dim = op.dim
+    n, d = op.ring.cell_count, op.ring.local_dim
+    m = np.ascontiguousarray(op.matrix)
+    pairs = m.view(np.float64).reshape(m.shape + (2,))
+    sq = np.einsum("ijk,ijk->ij", pairs, pairs)
+    bound = tol * tol
     support = []
-    t = op.matrix.reshape([d] * (2 * n))
     for cell in range(n):
-        # pull the cell's row/column axes to the front: B[r_c, c_c, R, C]
-        order = [cell] + [n + cell] + [i for i in range(2 * n) if i not in (cell, n + cell)]
-        b = np.transpose(t, order).reshape(d, d, dim // d, dim // d)
-        block_sq = np.einsum("ijkl,ijkl->ij", b, b.conj()).real
-        nontrivial = False
-        for i in range(d):
-            if nontrivial:
-                break
-            for j in range(d):
-                # || [op, E_ij at cell] ||_F^2 expanded over the cell blocks
-                diag = np.linalg.norm(b[i, i] - b[j, j]) ** 2
-                col = float(np.sum(block_sq[:, i])) - block_sq[i, i]
-                row = float(np.sum(block_sq[j, :])) - block_sq[j, j]
-                if diag + col + row > tol * tol:
-                    nontrivial = True
-                    break
-        if nontrivial:
+        shape = (d**cell, d, d ** (n - cell - 1))
+        blocks = m.reshape(shape + shape)  # B_kl is blocks[:, k, :, :, l]
+        block_sq = sq.reshape(shape + shape).sum(axis=(0, 2, 3, 5))
+        diag_sq = np.diagonal(block_sq)
+        # off[i, j]: the two sums over blocks off the diagonal
+        off = (block_sq.sum(axis=0) - diag_sq)[:, None] + (block_sq.sum(axis=1) - diag_sq)
+        if np.any(off > bound) or any(
+            np.linalg.norm(blocks[:, i, :, :, i] - blocks[:, j, :, :, j]) ** 2
+            + max(off[i, j], off[j, i])
+            > bound
+            for i, j in itertools.combinations(range(d), 2)
+        ):
             support.append(cell)
     return tuple(support)
 

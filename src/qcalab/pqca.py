@@ -495,12 +495,11 @@ def pqca_step(state: SparseState, pqca: Pqca, phase: str) -> SparseState:
     Only blocks intersecting the support of some term are materialized; all
     other blocks are fixed by quiescence preservation. Support grows by at
     most one cell per axis per step and the norm is preserved within 1e-12.
+    This is `pqca_evolve` for one step starting at `phase`.
     """
     if phase not in ("even", "odd"):
         raise ValueError(f"phase must be 'even' or 'odd', got {phase!r}")
-    _check_match(state, pqca)
-    packed = _Stepper(pqca.scattering).step(_pack(state), 0 if phase == "even" else 1)
-    return _unpack(packed, state.alphabet, state.dimension)
+    return pqca_evolve(state, pqca, 1, phase)
 
 
 def pqca_evolve(
@@ -508,8 +507,8 @@ def pqca_evolve(
 ) -> SparseState:
     """Alternate even/odd phases for `steps` steps (even first by default).
 
-    The state stays packed between steps; the result equals `steps` calls
-    of `pqca_step`, bit for bit.
+    The state stays packed between steps, which changes no bit: the result
+    equals `steps` one-step calls, each packing and unpacking its state.
     """
     if start_phase not in ("even", "odd"):
         raise ValueError(f"start_phase must be 'even' or 'odd', got {start_phase!r}")

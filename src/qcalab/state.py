@@ -121,10 +121,6 @@ _set_cells = Configuration.cells.__set__
 _set_hash = Configuration._hash.__set__
 
 
-def empty_configuration(dimension: int = 1) -> Configuration:
-    return Configuration(dimension, ())
-
-
 class SparseState:
     """Finite superposition of configurations, keyed by configuration.
 

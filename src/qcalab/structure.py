@@ -4,10 +4,13 @@ Two centerpieces. First, the localizability construction: extend a causal
 unitary G to act on the right subcells of a doubled-alphabet register, build
 the commuting local update gates K_x = Ghat^dag S_x Ghat (S_x the subcell
 swap at x) and the layered map H = (prod S_x)(prod K_x), and verify
-H E = E G against the subcell-doubling embedding E. Second, the
-quantized classical counterexample: a bijective, causal, XOR-like classical
-rule whose unitary lifting is *not* causal, demonstrated by a one-step
-signalling protocol between the two ends of a word.
+H E = E G against the subcell-doubling embedding E. The swaps, their
+product and E permute or embed basis states, so they act as index maps of
+the 2N-subcell register (gathers of rows or columns), never as matrix
+products; `subcell_swap` builds one swap as a matrix for inspection and
+tests. Second, the quantized classical counterexample: a bijective, causal,
+XOR-like classical rule whose unitary lifting is *not* causal, demonstrated
+by a one-step signalling protocol between the two ends of a word.
 
 Both rest on the Heisenberg causality check. A QCA is a unitary that is
 causal and translation-invariant; the check uses the second property too:
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    SUPPORT_TOL,
     UNITARITY_TOL,
     DenseOperator,
     op_at,
@@ -182,7 +186,7 @@ def _translation_defect(g: DenseOperator) -> float:
     return float(np.linalg.norm(t - t.transpose(roll)))
 
 
-def _unit_supports(g: DenseOperator, x: int, tol: float) -> dict:
+def _unit_supports(g: DenseOperator, x: int) -> dict:
     """Supports of the images A_i^dag A_j of the matrix units E_ij at cell
     x, keyed (i, j) for i <= j; A_k is the rows of g with digit k at x."""
     ring = g.ring
@@ -193,7 +197,7 @@ def _unit_supports(g: DenseOperator, x: int, tol: float) -> dict:
     for i in range(d):
         left = blocks[i].conj().T
         for j in range(i, d):
-            supports[i, j] = support_of(DenseOperator(ring, left @ blocks[j]), tol)
+            supports[i, j] = support_of(DenseOperator(ring, left @ blocks[j]))
     return supports
 
 
@@ -202,10 +206,10 @@ def causality_check(
     neighbourhood,
     *,
     periodic: bool = True,
-    tol: float = 1e-10,
 ) -> CausalityReport:
     """Heisenberg causality test: for every cell x and every matrix unit A
-    at x, the support of g^dag A g must stay inside x's neighbourhood.
+    at x, the support of g^dag A g must stay inside x's neighbourhood,
+    supports taken at `SUPPORT_TOL`.
 
     `neighbourhood` is either an iterable of integer offsets (wrapped on the
     ring when `periodic`, clipped to the window otherwise) or a dict mapping
@@ -219,7 +223,7 @@ def causality_check(
     - adjoint pairs: E_ji's image is the adjoint of E_ij's, so only the
       d(d+1)/2 images with i <= j are built at a cell;
     - translation invariance, part of the definition of a QCA: when
-      `periodic` holds and ||g - T g T^dag||_F <= 1e-3 * tol for the
+      `periodic` holds and ||g - T g T^dag||_F <= 1e-3 * SUPPORT_TOL for the
       one-cell translation T, images are built at cell 0 only and the
       support at cell x is cell 0's shifted by x (mod N). Windows
       (`periodic=False`) and every other operator, such as a block layer
@@ -231,16 +235,17 @@ def causality_check(
         raise ValueError(f"operator is not unitary: defect {defect:.3e}")
     ring = g.ring
     n, d = ring.cell_count, ring.local_dim
-    # The invariance tolerance is fixed at 1e-3 * tol. A translation defect
+    # The invariance tolerance is 1e-3 * SUPPORT_TOL. A translation defect
     # delta moves the image at cell x away from the shifted cell-0 image by
     # at most 2 * x * delta in Frobenius norm, and each commutator norm that
-    # support_of compares with tol by at most twice that: under 5% of tol on
-    # the at most 12 cells the dense cap allows. Supports can then differ
-    # only where a commutator norm sits that close to tol, where rounding
-    # already decides them. Invariant steps measure 0 or rounding (2.7e-16
-    # for the 8-cell Dirac step); a step broken at one cell measures O(1).
-    invariant = periodic and _translation_defect(g) <= 1e-3 * tol
-    supports = {x: _unit_supports(g, x, tol) for x in ((0,) if invariant else range(n))}
+    # support_of compares with SUPPORT_TOL by at most twice that: under 5%
+    # of SUPPORT_TOL on the at most 12 cells the dense cap allows. Supports
+    # can then differ only where a commutator norm sits that close to
+    # SUPPORT_TOL, where rounding already decides them. Invariant steps
+    # measure 0 or rounding (2.7e-16 for the 8-cell Dirac step); a step
+    # broken at one cell measures O(1).
+    invariant = periodic and _translation_defect(g) <= 1e-3 * SUPPORT_TOL
+    supports = {x: _unit_supports(g, x) for x in ((0,) if invariant else range(n))}
     witnesses = []
     for x in range(n):
         allowed = _neighbourhood_cells(x, neighbourhood, n, periodic)
@@ -282,16 +287,6 @@ def subcell_swap(ring: RingSpace, cell: int) -> DenseOperator:
     return op_at(doubled_ring(ring), (cell,), local)
 
 
-def embedding_matrix(ring: RingSpace) -> np.ndarray:
-    """Isometry adding an empty left subcell at every cell: |s> -> |(0,s)>."""
-    big = doubled_ring(ring)
-    e = np.zeros((big.dim, ring.dim), dtype=np.complex128)
-    for idx in range(ring.dim):
-        symbols = ring.symbols_of(idx)
-        e[big.index_of(symbols), idx] = 1.0
-    return e
-
-
 @dataclass(frozen=True)
 class LocalizationResult:
     """Output of the layered-circuit construction for one causal unitary."""
@@ -308,15 +303,37 @@ class LocalizationResult:
         return all(set(s) <= set(a) for s, a in zip(self.k_supports, self.allowed))
 
 
+def _swap_map(index: np.ndarray, cells) -> np.ndarray:
+    """Index map of the subcell swaps at `cells`: basis state i goes to
+    map[i]. `index` holds the doubled register's basis numbers on its 2N
+    subcell axes, the left subcell of cell x on axis 2x. A product of swaps
+    is an involution, so for its matrix S the same map gives both
+    A S = A[:, map] and S A = A[map].
+    """
+    axes = list(range(index.ndim))
+    for x in cells:
+        axes[2 * x], axes[2 * x + 1] = axes[2 * x + 1], axes[2 * x]
+    return index.transpose(axes).reshape(-1)
+
+
 def build_localization(
     g: DenseOperator,
     neighbourhood,
     *,
     periodic: bool = True,
-    tol: float = 1e-10,
 ) -> LocalizationResult:
     """Construct the update gates K_x = Ghat^dag S_x Ghat, their supports,
     the layered map H = (prod S_x)(prod K_x) and the defect ||H E - E G||.
+
+    The subcell swaps S_x, their product and the embedding E are 0/1
+    matrices, used here as index maps of the doubled register and never
+    built: Ghat^dag S_x is a column gather of Ghat^dag, (prod S_x) M a row
+    gather of M, H E a column gather of H, and E G is G on the rows E maps
+    to. A gather gives the entries the 0/1 product would, equal up to the
+    sign of a zero, and the gate product starts from K_0 where I K_0 gives
+    the same values; so K_x, H and the three defects equal those of the
+    dense products (Ghat^dag S_x) Ghat, (Ghat^dag prod S_x) Ghat,
+    (prod S_x)(prod K_x) and H E - E G.
 
     Refuses unitaries that fail the causality check for the claimed
     neighbourhood: conjugating the subcell swap by a non-causal operator
@@ -324,7 +341,7 @@ def build_localization(
     (true for every quiescence-preserving evolution), otherwise the
     intertwining defect picks up the stray phase.
     """
-    report = causality_check(g, neighbourhood, periodic=periodic, tol=tol)
+    report = causality_check(g, neighbourhood, periodic=periodic)
     if not report.passed:
         w = report.witnesses[0]
         raise ValueError(
@@ -336,11 +353,12 @@ def build_localization(
     n = ring.cell_count
     ghat = extend_to_right_subcells(g)
     ghat_d = ghat.matrix.conj().T
-    swaps = [subcell_swap(ring, x) for x in range(n)]
-    k_ops = []
-    for x in range(n):
-        k_ops.append(DenseOperator(ghat.ring, ghat_d @ swaps[x].matrix @ ghat.matrix))
-    k_supports = tuple(support_of(k, tol) for k in k_ops)
+    index = np.arange(ghat.dim).reshape([ring.local_dim] * (2 * n))
+    k_ops = tuple(
+        DenseOperator(ghat.ring, ghat_d[:, _swap_map(index, (x,))] @ ghat.matrix)
+        for x in range(n)
+    )
+    k_supports = tuple(support_of(k) for k in k_ops)
     allowed = tuple(
         tuple(sorted(_neighbourhood_cells(x, neighbourhood, n, periodic)))
         for x in range(n)
@@ -352,24 +370,24 @@ def build_localization(
             float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix)),
         )
     # ascending-cell product of the K_x; commutation makes the order moot
-    prod_k = np.eye(ghat.ring.dim, dtype=np.complex128)
-    for k in k_ops:
+    prod_k = k_ops[0].matrix
+    for k in k_ops[1:]:
         prod_k = prod_k @ k.matrix
-    all_swaps = np.eye(ghat.ring.dim, dtype=np.complex128)
-    for s in swaps:
-        all_swaps = all_swaps @ s.matrix
+    all_swaps = _swap_map(index, range(n))
     product_defect = float(
-        np.linalg.norm(prod_k - ghat_d @ all_swaps @ ghat.matrix)
+        np.linalg.norm(prod_k - ghat_d[:, all_swaps] @ ghat.matrix)
     )
-    h = DenseOperator(ghat.ring, all_swaps @ prod_k)
-    e = embedding_matrix(ring)
-    he_eg_defect = float(np.linalg.norm(h.matrix @ e - e @ g.matrix))
+    h = DenseOperator(ghat.ring, prod_k[all_swaps])
+    # E sends |s> to the doubled state with every left subcell empty
+    embed = index[(0, slice(None)) * n].reshape(-1)
+    he_eg = h.matrix[:, embed]
+    he_eg[embed] -= g.matrix
     return LocalizationResult(
-        tuple(k_ops),
+        k_ops,
         k_supports,
         allowed,
         h,
-        he_eg_defect,
+        float(np.linalg.norm(he_eg)),
         commutation,
         product_defect,
     )

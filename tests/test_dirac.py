@@ -5,7 +5,6 @@ import pytest
 
 from qcalab.dirac import (
     ConvergenceResult,
-    DiracParams,
     WalkField,
     convergence_study,
     dirac_plane_wave,
@@ -371,17 +370,3 @@ class TestBitwiseRecurrence:
         out = walk_evolve(f, 0.7, 0.3, 37)
         assert g.psi_plus.tobytes() == out.psi_plus.tobytes()
         assert g.psi_minus.tobytes() == out.psi_minus.tobytes()
-
-
-class TestDiracParams:
-    def test_step_count(self):
-        p = DiracParams(0.5, 0.1, 64, 1.0)
-        assert p.step_count() == 10
-
-    def test_rejects_fractional_step_count(self):
-        with pytest.raises(ValueError, match="integer multiple"):
-            DiracParams(0.5, 0.3, 64, 1.0).step_count()
-
-    def test_rejects_odd_grid(self):
-        with pytest.raises(ValueError, match="even"):
-            DiracParams(0.5, 0.1, 63)

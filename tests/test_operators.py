@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcalab.operators import (
+    SUPPORT_TOL,
     DenseOperator,
     DensityMatrix,
     apply,
@@ -164,6 +168,68 @@ class TestSupportOf:
         ring = RingSpace(4, 2)
         m = np.kron(np.eye(2), np.kron(SWAP2, np.eye(2)))
         assert support_of(DenseOperator(ring, m)) == (1, 2)
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (4, 3), (3, 4)])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_matches_every_commutator(self, n, d, seed, diagonal):
+        op, planted = planted_operator(n, d, seed, diagonal)
+        assert support_of(op) == reference_support(op) == planted
+
+    def test_peak_memory_under_the_image(self):
+        # cells 0-2 and 5-9 carry the identity, so each needs its diagonal
+        # block difference
+        rng = np.random.default_rng(5)
+        op = op_at(RingSpace(10, 2), (3, 4), random_matrix(rng, 4))
+        tracemalloc.start()
+        try:
+            supp = support_of(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert supp == (3, 4)
+        assert peak <= op.matrix.nbytes
+
+
+def reference_support(op, tol=SUPPORT_TOL):
+    """Cells where some commutator of `op` with a matrix unit, both built
+    in full, has Frobenius norm above `tol`."""
+    ring = op.ring
+    d = ring.local_dim
+    support = []
+    for c in range(ring.cell_count):
+        norms = []
+        for i, j in itertools.product(range(d), repeat=2):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            e = op_at(ring, (c,), unit).matrix
+            norms.append(np.linalg.norm(op.matrix @ e - e @ op.matrix))
+        if max(norms) > tol:
+            support.append(c)
+    return tuple(support)
+
+
+def planted_operator(n, d, seed, diagonal):
+    """A random matrix on a planted cell set (diagonal, so only the
+    diagonal block differences see it, or dense) tensored with a phase times
+    the identity on one cell and a single off-diagonal unit on another.
+    Returns the operator on the ring and its support."""
+    rng = np.random.default_rng(seed)
+    phase_cell, unit_cell, *rest = (int(c) for c in rng.permutation(n))
+    planted = rest[: int(rng.integers(0, len(rest) + 1))]
+    k = d ** len(planted)
+    local = random_matrix(rng, k)
+    if diagonal:
+        local = np.diag(np.diag(local))
+    unit = np.zeros((d, d), dtype=complex)
+    unit[0, d - 1] = complex(rng.normal(), rng.normal())
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(d)
+    op = op_at(
+        RingSpace(n, d),
+        (phase_cell, unit_cell, *planted),
+        np.kron(phase, np.kron(unit, local)),
+    )
+    return op, tuple(sorted([unit_cell, *planted]))
 
 
 def random_matrix(rng, dim):

@@ -9,7 +9,6 @@ from qcalab.state import (
     densify,
     dump_state,
     embed_double,
-    empty_configuration,
     extract_right_subcells,
     inner_product,
     shift,
@@ -99,7 +98,7 @@ class TestEmbedDouble:
         s = SparseState.basis(QUBIT, 1)
         out = embed_double(s)
         assert out.alphabet.size == 4
-        assert list(out.terms) == [empty_configuration(1)]
+        assert list(out.terms) == [Configuration(1, ())]
 
     def test_occupied_cell_gets_empty_left_subcell(self):
         s = SparseState.basis(QUBIT, 1, {(2,): 1})
@@ -158,7 +157,7 @@ class TestDensify:
 class TestPruning:
     def test_tiny_amplitudes_dropped(self):
         cfg = Configuration(1, {(0,): 1})
-        s = SparseState(QUBIT, 1, {cfg: 1e-15, empty_configuration(1): 1.0})
+        s = SparseState(QUBIT, 1, {cfg: 1e-15, Configuration(1, ()): 1.0})
         assert cfg not in s.terms
 
     def test_norm_change_bounded_by_term_count_times_threshold(self):
@@ -188,7 +187,7 @@ def test_dump_format_golden():
         1,
         {
             Configuration(1, {(-1,): 1, (2,): 1}): 0.5,
-            empty_configuration(1): complex(0.25, -0.75),
+            Configuration(1, ()): complex(0.25, -0.75),
         },
     )
     expected = "\t0.25\t-0.75\n(-1):1;(2):1\t0.5\t0\n"

@@ -6,6 +6,7 @@ import pytest
 from qcalab.dirac import dirac_scattering_unitary
 from qcalab import structure
 from qcalab.operators import (
+    SUPPORT_TOL,
     DenseOperator,
     density_from_vector,
     identity_operator,
@@ -285,7 +286,7 @@ class TestCausalityAgainstReference:
     def test_images_built(self, monkeypatch, g, kwargs, images):
         calls = []
 
-        def counted(op, tol):
+        def counted(op, tol=SUPPORT_TOL):
             calls.append(op)
             return support_of(op, tol)
 
@@ -397,6 +398,92 @@ class TestLocalization:
             if not supp <= radius_one:
                 nonlocal_cells.append(x)
         assert nonlocal_cells, "every update gate fit a strictly smaller window"
+
+
+def reference_localization(g):
+    """The construction with every 0/1 matrix built and multiplied in: the
+    `subcell_swap` matrices, their product from the identity, the gate
+    product from the identity, and E from the ring basis. Returns the gate
+    matrices, their supports, H and the three defects."""
+    ring = g.ring
+    n = ring.cell_count
+    big = RingSpace(n, ring.local_dim**2)
+    ghat = extend_to_right_subcells(g).matrix
+    ghat_d = ghat.conj().T
+    swaps = [subcell_swap(ring, x).matrix for x in range(n)]
+    k_ops = [ghat_d @ s @ ghat for s in swaps]
+    commutation = 0.0
+    for a, b in itertools.combinations(k_ops, 2):
+        commutation = max(commutation, float(np.linalg.norm(a @ b - b @ a)))
+    prod_k = np.eye(big.dim, dtype=complex)
+    for k in k_ops:
+        prod_k = prod_k @ k
+    all_swaps = np.eye(big.dim, dtype=complex)
+    for s in swaps:
+        all_swaps = all_swaps @ s
+    product_defect = float(np.linalg.norm(prod_k - ghat_d @ all_swaps @ ghat))
+    h = all_swaps @ prod_k
+    e = np.zeros((big.dim, ring.dim), dtype=complex)
+    for idx in range(ring.dim):
+        e[big.index_of(ring.symbols_of(idx)), idx] = 1.0
+    he_eg_defect = float(np.linalg.norm(h @ e - e @ g.matrix))
+    supports = tuple(support_of(DenseOperator(big, k)) for k in k_ops)
+    return k_ops, supports, h, (he_eg_defect, commutation, product_defect)
+
+
+class TestLocalizationAgainstReference:
+    """`build_localization` uses index maps where the reference multiplies
+    by 0/1 matrices; every gate, H and every defect keep their bits."""
+
+    @pytest.mark.parametrize(
+        "g,nbhd",
+        [
+            (identity_operator(RingSpace(3, 2)), (0,)),
+            (single_cell_product(RingSpace(4, 2), quiescence_preserving_local(2, 1)), (0,)),
+            (single_cell_product(RingSpace(3, 3), quiescence_preserving_local(3, 5)), (0,)),
+            dirac_block_layer(),
+            dirac_block_layer(2, 0.5, 0.3),
+            dirac_block_layer(4, 0.5, 0.3),
+        ],
+    )
+    def test_equals_reference(self, g, nbhd):
+        loc = build_localization(g, nbhd)
+        k_ops, supports, h, defects = reference_localization(g)
+        assert len(loc.k_ops) == len(k_ops)
+        for k, ref in zip(loc.k_ops, k_ops):
+            assert np.array_equal(k.matrix, ref)
+        assert np.array_equal(loc.h.matrix, h)
+        assert loc.k_supports == supports
+        assert (loc.he_eg_defect, loc.commutation_residual, loc.product_defect) == defects
+
+    @pytest.mark.parametrize("cells,products", [(3, 12), (4, 20)])
+    def test_full_size_products(self, monkeypatch, cells, products):
+        # N gates, N(N-1) commutator products, N - 1 for the gate product
+        # and one for the product defect; none with a 0/1 matrix
+        g = single_cell_product(RingSpace(cells, 2), quiescence_preserving_local(2, 1))
+        dim = 4**cells
+        calls = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if ufunc is np.matmul and all(np.shape(x) == (dim, dim) for x in inputs):
+                    calls.append(inputs)
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(o) for o in out)
+                result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                if out is not None:
+                    return out[0] if len(out) == 1 else out
+                return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+        class CountedOperator(DenseOperator):
+            def __post_init__(self):
+                super().__post_init__()
+                object.__setattr__(self, "matrix", self.matrix.view(Counted))
+
+        monkeypatch.setattr(structure, "DenseOperator", CountedOperator)
+        loc = build_localization(g, (0,))
+        assert loc.he_eg_defect < 1e-10
+        assert len(calls) == products
 
 
 class TestHeisenbergSchroedingerEquivalence:
