@@ -314,25 +314,20 @@ def _causality_instance(p: dict, seed: int):
     system = p["system"]
     if system == "identity":
         return identity_operator(RingSpace(p["cells"], 2)), True
-    if system == "dirac":
-        cells = p["cells"]
-        if cells % 4 != 0:
-            raise UsageError("--cells: dirac composed step needs a multiple of 4 for supercells")
-        ring = RingSpace(cells, 2)
-        pq = Pqca(dirac_scattering_unitary(p["mass"], p["epsilon"]))
-        return regroup_pairs(composed_step_operator(pq, ring)), True
     if system == "xor":
         return xor_lifted(p["length"]), False
-    if system == "file":
-        if not p["unitary_file"]:
-            raise UsageError("--unitary-file: required for --system file")
+    if system not in ("dirac", "file"):
+        raise UsageError("--system: must be identity, dirac, xor or file")
+    if system == "file" and not p["unitary_file"]:
+        raise UsageError("--unitary-file: required for --system file")
+    if p["cells"] % 4 != 0:
+        raise UsageError("--cells: composed step needs a multiple of 4 for supercells")
+    if system == "dirac":
+        u = dirac_scattering_unitary(p["mass"], p["epsilon"])
+    else:
         u = _load_unitary_file(p["unitary_file"])
-        cells = p["cells"]
-        if cells % 4 != 0:
-            raise UsageError("--cells: composed step needs a multiple of 4 for supercells")
-        ring = RingSpace(cells, u.alphabet_size)
-        return regroup_pairs(composed_step_operator(Pqca(u), ring)), True
-    raise UsageError("--system: must be identity, dirac, xor or file")
+    ring = RingSpace(p["cells"], u.alphabet_size)
+    return regroup_pairs(composed_step_operator(Pqca(u), ring)), True
 
 
 def _run_causality(cfg: RunConfig) -> int:
@@ -476,9 +471,7 @@ def _selftest_localize(seed: int):
 def _selftest_causality(seed: int):
     assert causality_check(identity_operator(RingSpace(4, 2)), (0,)).passed
     yield "identity is causal with trivial neighbourhood"
-    ring = RingSpace(8, 2)
-    pq = Pqca(dirac_scattering_unitary(0.5, 0.3))
-    g2 = regroup_pairs(composed_step_operator(pq, ring))
+    g2, _ = _causality_instance({"system": "dirac", "cells": 8, "mass": 0.5, "epsilon": 0.3}, seed)
     assert causality_check(g2, (-1, 0, 1)).passed, "composed step not causal on supercells"
     yield "composed two-phase step causal with supercell neighbourhood {-1,0,1}"
     rep = causality_check(xor_lifted(4), (-2, -1, 0, 1, 2), periodic=False)

@@ -190,20 +190,6 @@ def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     return tuple(support)
 
 
-def hermitian_eig(h) -> tuple:
-    """Eigendecomposition of a Hermitian matrix with a deterministic
-    eigenvector phase convention: first nonzero component positive real."""
-    m = _as_matrix(h)
-    w, v = np.linalg.eigh(m)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        mags = np.abs(col)
-        nz = np.nonzero(mags > 1e-12 * mags.max())[0]
-        lead = col[nz[0]]
-        v[:, k] = col * (abs(lead) / lead)
-    return w, v
-
-
 def hermitian_exp(h, t: float):
     """Unitary exp(-i t h) for Hermitian h, via eigendecomposition.
 
@@ -213,7 +199,7 @@ def hermitian_exp(h, t: float):
     defect = float(np.linalg.norm(m - m.conj().T))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(m)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     if isinstance(h, DenseOperator):
         return DenseOperator(h.ring, u)

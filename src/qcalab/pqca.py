@@ -4,9 +4,9 @@ One scattering unitary acts synchronously on a staggered block partition:
 blocks anchored at even coordinates on even steps, shifted by (1,...,1) on
 odd steps (step count starts at 0 = even). The sparse backend materializes
 only blocks that touch occupied cells, which is exact because the
-scattering unitary fixes the all-empty block state; the dense backend
-builds the same phase map as a matrix on a periodic ring, the odd phase
-being the even one placed on the cells rotated by one.
+scattering unitary fixes the all-empty block state. On a periodic ring,
+`apply_phase` is the dense action of a phase on vectors and
+`pqca_as_ring_operator` its assembly as a matrix.
 
 The sparse step expands each term into branches, one per choice of output
 row (fragment) of the block's column in each of its blocks, and sums the
@@ -523,14 +523,7 @@ def pqca_evolve(
     return _unpack(packed, state.alphabet, state.dimension)
 
 
-def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOperator:
-    """Dense matrix of one phase map on a periodic ring (even cell count).
-
-    The even phase is the plain tensor power of the scattering unitary over
-    blocks (0,1), (2,3), ...; the odd phase is that same operator placed on
-    the rotated cells (1, 2, ..., N-1, 0), which puts its blocks at (1,2),
-    ..., (N-1,0).
-    """
+def _ring_rule(pqca: Pqca, ring: RingSpace, phase: str) -> ScatteringUnitary:
     u = pqca.scattering
     if u.dimension != 1:
         raise ValueError("ring operators are defined for 1D automata")
@@ -540,6 +533,39 @@ def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOpera
         raise ValueError(f"ring size {ring.cell_count} is odd; blocks cannot tile both phases")
     if phase not in ("even", "odd"):
         raise ValueError(f"phase must be 'even' or 'odd', got {phase!r}")
+    return u
+
+
+def apply_phase(array: np.ndarray, pqca: Pqca, ring: RingSpace, phase: str) -> np.ndarray:
+    """One phase map on a ring vector, or on each column of a batch, in
+    O(dim * d^2) work per column. The leading d^N axis splits into N/2 block
+    axes of size d^2, and one stacked `matmul` applies the scattering
+    unitary on each. The odd phase first moves cell 0's axis to the end,
+    which pairs the cells (1,2), ..., (N-1,0), and moves it back after."""
+    u = _ring_rule(pqca, ring, phase)
+    n, d = ring.cell_count, ring.local_dim
+    a = np.asarray(array, dtype=np.complex128)
+    if a.ndim not in (1, 2) or a.shape[0] != ring.dim:
+        raise ValueError(f"array shape {a.shape} does not start with ring dimension {ring.dim}")
+    cells = a.reshape([d] * n + [-1])
+    if phase == "odd":
+        cells = np.moveaxis(cells, 0, n - 1)
+    for k in range(n // 2):
+        cells = np.matmul(u.matrix, cells.reshape(d ** (2 * k), d * d, -1))
+    if phase == "odd":
+        cells = np.moveaxis(cells.reshape([d] * n + [-1]), n - 1, 0)
+    return cells.reshape(a.shape)
+
+
+def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOperator:
+    """Dense matrix of one phase map on a periodic ring (even cell count).
+
+    The even phase is the plain tensor power of the scattering unitary over
+    blocks (0,1), (2,3), ...; the odd phase is that same operator placed on
+    the rotated cells (1, 2, ..., N-1, 0), which puts its blocks at (1,2),
+    ..., (N-1,0).
+    """
+    u = _ring_rule(pqca, ring, phase)
     j = np.array([[1.0 + 0.0j]])
     for _ in range(ring.cell_count // 2):
         j = np.kron(j, u.matrix)
@@ -549,10 +575,10 @@ def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOpera
 
 
 def composed_step_operator(pqca: Pqca, ring: RingSpace) -> DenseOperator:
-    """Dense matrix of one full even-then-odd step on the ring."""
-    even = pqca_as_ring_operator(pqca, ring, "even")
-    odd = pqca_as_ring_operator(pqca, ring, "odd")
-    return DenseOperator(ring, odd.matrix @ even.matrix)
+    """Dense matrix of one full even-then-odd step on the ring: the odd
+    phase applied to the columns of the even one, with no full-size product."""
+    even = pqca_as_ring_operator(pqca, ring, "even").matrix
+    return DenseOperator(ring, apply_phase(even, pqca, ring, "odd"))
 
 
 def regroup_pairs(op: DenseOperator) -> DenseOperator:

@@ -33,7 +33,6 @@ from .operators import (
     reduced_density_from_vector,
     support_of,
     trace_distance,
-    unitarity_defect,
 )
 from .state import RingSpace
 
@@ -96,12 +95,7 @@ def xor_ca_step(word: XorWord, window: int | None = None) -> XorWord:
     kept; empty cells stay empty)."""
     if window is not None and len(word) > window:
         raise ValueError(f"word of length {len(word)} does not fit window {window}")
-    syms = word.symbols
-    stepped = tuple(
-        xor_plus(syms[i], syms[i + 1] if i + 1 < len(syms) else EMPTY)
-        for i in range(len(syms))
-    )
-    return XorWord(stepped)
+    return XorWord(xor_window_step(word.symbols))
 
 
 def xor_window_step(symbols: tuple) -> tuple:
@@ -188,7 +182,9 @@ def _translation_defect(g: DenseOperator) -> float:
 
 def _unit_supports(g: DenseOperator, x: int) -> dict:
     """Supports of the images A_i^dag A_j of the matrix units E_ij at cell
-    x, keyed (i, j) for i <= j; A_k is the rows of g with digit k at x."""
+    x, keyed (i, j) for i <= j; A_k is the rows of g with digit k at x. At
+    cell 0 the images of E_ii, which sum to g^dag g, give the unitarity
+    defect ||g^dag g - I||_F, and a non-unitary g is rejected there."""
     ring = g.ring
     n, d, dim = ring.cell_count, ring.local_dim, ring.dim
     rows = g.matrix.reshape(d**x, d, d ** (n - x - 1), dim)
@@ -197,7 +193,16 @@ def _unit_supports(g: DenseOperator, x: int) -> dict:
     for i in range(d):
         left = blocks[i].conj().T
         for j in range(i, d):
-            supports[i, j] = support_of(DenseOperator(ring, left @ blocks[j]))
+            image = left @ blocks[j]
+            supports[i, j] = support_of(DenseOperator(ring, image))
+            if i == j and x == 0:
+                gram = image if i == 0 else np.add(gram, image, out=gram)
+            del image  # else it lives on while the next image is built
+    if x == 0:
+        gram[np.diag_indices(dim)] -= 1.0
+        defect = float(np.linalg.norm(gram))
+        if defect > UNITARITY_TOL:
+            raise ValueError(f"operator is not unitary: defect {defect:.3e}")
     return supports
 
 
@@ -227,12 +232,11 @@ def causality_check(
       one-cell translation T, images are built at cell 0 only and the
       support at cell x is cell 0's shifted by x (mod N). Windows
       (`periodic=False`) and every other operator, such as a block layer
-      invariant only under two-cell shifts, build images at every cell.
+      invariant only under two-cell shifts, build images at every cell;
+    - unitarity: cell 0 comes first, and its images of E_ii sum to g^dag g,
+      so a non-unitary g is rejected before any other cell is probed.
     The allowed set of every cell comes from `neighbourhood` as given.
     """
-    defect = unitarity_defect(g)
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"operator is not unitary: defect {defect:.3e}")
     ring = g.ring
     n, d = ring.cell_count, ring.local_dim
     # The invariance tolerance is 1e-3 * SUPPORT_TOL. A translation defect

@@ -294,6 +294,13 @@ class TestCausalityCommand:
         assert code == 0
         assert "verdict: pass" in out
 
+    @pytest.mark.parametrize("system", [["dirac"], ["file", "--unitary-file", "missing/u.txt"]])
+    def test_cells_checked_before_the_step_is_built(self, capsys, system):
+        code, out, err = run_cli(["causality", "--cells", "6", "--system"] + system, capsys)
+        assert (code, out) == (2, "")
+        assert "--cells: composed step needs a multiple of 4 for supercells" in err
+        assert "missing" not in err
+
 
 class TestSignalCommand:
     def test_report_values(self, capsys):

@@ -10,11 +10,11 @@ from qcalab.operators import (
     DensityMatrix,
     apply,
     density_from_vector,
-    hermitian_eig,
     hermitian_exp,
     identity_operator,
     op_at,
     partial_trace,
+    reduced_density_from_vector,
     spectral_norm,
     support_of,
     tensor_state,
@@ -114,6 +114,24 @@ class TestPartialTrace:
         expected = np.kron(np.outer(a, a.conj()), np.outer(c, c.conj()))
         assert np.allclose(reduced.matrix, expected, atol=1e-12)
         assert reduced.cells == (0, 2)
+
+
+class TestReducedDensityFromVector:
+    """The contraction from the vector equals the partial trace of the full
+    density matrix."""
+
+    @pytest.mark.parametrize(
+        "d,keep", [(2, ()), (2, (0, 1, 2, 3)), (2, (2,)), (2, (0, 3)), (2, (2, 0)),
+                   (3, ()), (3, (0, 1, 2)), (3, (1,)), (3, (0, 2)), (3, (2, 0))]
+    )
+    def test_equals_partial_trace_of_full_state(self, d, keep):
+        ring = RingSpace(4 if d == 2 else 3, d)
+        v = 3.0 * random_unit_vector(np.random.default_rng(d), ring.dim)
+        reduced = reduced_density_from_vector(v, ring, keep)
+        expected = partial_trace(density_from_vector(v, ring), keep)
+        assert reduced.cells == expected.cells == tuple(sorted(keep))
+        assert reduced.local_dim == d
+        assert np.max(np.abs(reduced.matrix - expected.matrix)) < 1e-14
 
 
 def conjugate(g, a):
@@ -303,17 +321,6 @@ class TestHermitianExp:
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-    def test_deterministic_and_sign_convention(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = (a + a.conj().T) / 2
-        w1, v1 = hermitian_eig(h)
-        w2, v2 = hermitian_eig(h.copy())
-        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-        for k in range(5):
-            lead = v1[np.nonzero(np.abs(v1[:, k]) > 1e-12)[0][0], k]
-            assert lead.imag == pytest.approx(0.0, abs=1e-12) and lead.real > 0
 
 
 class TestTraceDistance:

@@ -9,6 +9,7 @@ from qcalab.operators import translation_operator, unitarity_defect
 from qcalab.pqca import (
     Pqca,
     ScatteringUnitary,
+    apply_phase,
     check_quiescence,
     composed_step_operator,
     load_unitary,
@@ -511,6 +512,21 @@ class TestRingOperator:
 
 
 class TestBackendAgreement:
+    """Three engines step one state: the sparse stepper, `apply_phase` and
+    the assembled ring operator. Supports stay away from the wrap."""
+
+    @staticmethod
+    def assert_engines_agree(s: SparseState, pq: Pqca, ring: RingSpace):
+        vec = densify(s, ring)
+        free = vec
+        sp = s
+        for step, phase in enumerate(("even", "odd", "even")):
+            sp = pqca_step(sp, pq, phase)
+            vec = pqca_as_ring_operator(pq, ring, phase).matrix @ vec
+            free = apply_phase(free, pq, ring, phase)
+            assert np.max(np.abs(densify(sp, ring) - vec)) < 1e-10, f"step {step}"
+            assert np.max(np.abs(free - vec)) < 1e-12, f"step {step}"
+
     @pytest.mark.parametrize("seed", range(6))
     def test_sparse_matches_dense_ring(self, seed):
         ring = RingSpace(8, 2)
@@ -520,13 +536,18 @@ class TestBackendAgreement:
         for _ in range(3):
             cells = {(int(c),): 1 for c in rng.integers(3, 5, size=rng.integers(1, 3))}
             terms[Configuration(1, cells)] = complex(rng.normal(), rng.normal())
-        s = SparseState(QUBIT, 1, terms).normalized()
-        vec = densify(s, ring)
-        sp = s
-        for step, phase in enumerate(("even", "odd", "even")):
-            sp = pqca_step(sp, pq, phase)
-            vec = pqca_as_ring_operator(pq, ring, phase).matrix @ vec
-            assert np.max(np.abs(densify(sp, ring) - vec)) < 1e-10, f"step {step}"
+        self.assert_engines_agree(SparseState(QUBIT, 1, terms).normalized(), pq, ring)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d3_sector_rule(self, seed):
+        ring = RingSpace(6, 3)
+        pq = Pqca(sector_unitary(3, 1, seed))
+        rng = np.random.default_rng(200 + seed)
+        terms = {}
+        for _ in range(3):
+            cells = {(int(c),): int(rng.integers(1, 3)) for c in rng.integers(2, 4, size=2)}
+            terms[Configuration(1, cells)] = complex(rng.normal(), rng.normal())
+        self.assert_engines_agree(SparseState(Alphabet(3), 1, terms).normalized(), pq, ring)
 
     def test_entangled_multiblock_term(self):
         # one term occupying two separate blocks exercises the branch product
@@ -537,6 +558,62 @@ class TestBackendAgreement:
         out = pqca_step(s, pq, "even")
         ref = pqca_as_ring_operator(pq, ring, "even").matrix @ vec
         assert np.max(np.abs(densify(out, ring) - ref)) < 1e-12
+        assert np.max(np.abs(apply_phase(vec, pq, ring, "even") - ref)) < 1e-12
+
+
+class TestApplyPhase:
+    @pytest.mark.parametrize("cells", [2, 4, 6, 8])
+    def test_identity_gives_dirac_ring_operator(self, cells):
+        ring = RingSpace(cells, 2)
+        pq = Pqca(dirac_scattering_unitary(0.8, 0.6))
+        for phase in ("even", "odd"):
+            j = pqca_as_ring_operator(pq, ring, phase).matrix
+            assert np.array_equal(apply_phase(np.eye(ring.dim), pq, ring, phase), j)
+
+    @pytest.mark.parametrize("cells", [2, 4, 6])
+    def test_identity_gives_d3_ring_operator(self, cells):
+        ring = RingSpace(cells, 3)
+        pq = Pqca(sector_unitary(3, 1, cells))
+        for phase in ("even", "odd"):
+            j = pqca_as_ring_operator(pq, ring, phase).matrix
+            assert np.max(np.abs(apply_phase(np.eye(ring.dim), pq, ring, phase) - j)) <= 1e-15
+
+    def test_composed_step_equals_product_of_phases(self):
+        ring = RingSpace(6, 3)
+        pq = Pqca(sector_unitary(3, 1, 5))
+        even, odd = (pqca_as_ring_operator(pq, ring, ph).matrix for ph in ("even", "odd"))
+        assert np.max(np.abs(composed_step_operator(pq, ring).matrix - odd @ even)) <= 1e-15
+
+    def test_batch_equals_each_column(self):
+        ring = RingSpace(6, 2)
+        pq = Pqca(quiescence_preserving_unitary(4))
+        rng = np.random.default_rng(9)
+        batch = rng.normal(size=(ring.dim, 5)) + 1j * rng.normal(size=(ring.dim, 5))
+        for phase in ("even", "odd"):
+            out = apply_phase(batch, pq, ring, phase)
+            for k in range(5):
+                assert np.max(np.abs(out[:, k] - apply_phase(batch[:, k], pq, ring, phase))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "pq,ring,phase,message",
+        [
+            (Pqca(sector_unitary(2, 2, 0)), RingSpace(4, 2), "even", "1D"),
+            (Pqca(SWAP_U), RingSpace(4, 3), "even", "local dimension"),
+            (Pqca(SWAP_U), RingSpace(3, 2), "odd", "odd"),
+            (Pqca(SWAP_U), RingSpace(4, 2), "both", "phase"),
+        ],
+        ids=["2d-rule", "alphabet", "odd-ring", "phase"],
+    )
+    def test_rejects_what_the_assembly_rejects(self, pq, ring, phase, message):
+        with pytest.raises(ValueError, match=message):
+            pqca_as_ring_operator(pq, ring, phase)
+        with pytest.raises(ValueError, match=message):
+            apply_phase(np.ones(ring.dim), pq, ring, phase)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 2), (16, 2, 2), ()])
+    def test_rejects_arrays_off_the_ring(self, shape):
+        with pytest.raises(ValueError, match="ring dimension 16"):
+            apply_phase(np.ones(shape), Pqca(SWAP_U), RingSpace(4, 2), "even")
 
 
 class TestComposedStep:

@@ -154,6 +154,32 @@ class TestSplittingError:
         total_err = spectral_norm(exact - accumulated)
         assert total_err <= steps * splitting_error(h, RING4, dt) * (1 + 1e-6)
 
+    @pytest.mark.parametrize("cells", [4, 8])
+    @pytest.mark.parametrize("make", [exchange_coupling, lambda: random_coupling(2, 23)])
+    def test_equals_split_exponentials(self, make, cells):
+        # the split as exp(-i dt H_o) exp(-i dt H_e), each by its own
+        # eigendecomposition
+        h, ring = make(), RingSpace(cells, 2)
+        parts = build_global_hamiltonian(h, ring)
+        for dt in (0.1, 0.025):
+            exact = hermitian_exp(parts.total.matrix, dt)
+            split = hermitian_exp(parts.odd.matrix, dt) @ hermitian_exp(parts.even.matrix, dt)
+            expected = spectral_norm(exact - split)
+            assert splitting_error(h, ring, dt) == pytest.approx(expected, rel=1e-13)
+
+    def test_one_full_size_eigendecomposition(self, monkeypatch):
+        ring = RingSpace(6, 2)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(m, *args, **kwargs):
+            sizes.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        splitting_error(random_coupling(2, 3), ring, 0.1)
+        assert sorted(sizes) == [4, ring.dim]
+
 
 class TestCrosscheck:
     def test_zero_coupling(self):
