@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +45,14 @@ from .structure import build_localization, causality_check, signalling_demo, xor
 from .trotter import exchange_coupling, random_coupling, splitting_error, trotter_vs_pqca_crosscheck
 
 PASS_TOL = 1e-10
+# Largest --grid of walk and converge, checked before anything of grid length
+# is made. The walk keeps six complex128 arrays of grid length alive (the field
+# and the stepper's current and next pairs): 384 MiB at 2^22 sites, with about
+# as much again in the cached x strings of the CSV.
+MAX_GRID = 1 << 22
+_WALK_ARRAY_BYTES = 6 * 16
+# rows of walk CSV formatted at a time
+_CSV_ROWS = 4096
 
 
 @dataclass
@@ -154,6 +163,26 @@ def _parse_init(spec: str, grid: int) -> WalkField:
     )
 
 
+def _check_grid(grid: int):
+    """`--grid` of walk and converge: even, at least 2 and at most MAX_GRID,
+    checked before any array of that length is made."""
+    if grid < 2 or grid % 2 != 0:
+        raise UsageError("--grid: must be a positive even integer")
+    if grid > MAX_GRID:
+        raise UsageError(
+            f"--grid: {grid} sites exceed the limit of {MAX_GRID}; the walk's arrays "
+            f"alone would take {_WALK_ARRAY_BYTES * grid} bytes"
+        )
+
+
+def _probabilities(pp: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """Python's `abs(plus) ** 2 + abs(minus) ** 2` per site, bit for bit:
+    np.hypot is the modulus of a complex and `pow` the libm power that `**`
+    calls; numpy's own squares differ from it in the last bit."""
+    squares = [list(map(pow, np.hypot(a.real, a.imag).tolist(), repeat(2.0))) for a in (pp, pm)]
+    return np.add(*squares)
+
+
 def _walk_to_wire_state(f: WalkField) -> SparseState:
     """Lossless interleaved-wire encoding of a walk field as a one-particle
     sparse state: cell 2k carries psi_plus(k), cell 2k+1 carries psi_minus(k)."""
@@ -179,23 +208,26 @@ def _run_walk(cfg: RunConfig) -> int:
         raise UsageError("--mass: must be >= 0")
     if steps < 0:
         raise UsageError("--steps: must be >= 0")
-    if grid < 2 or grid % 2 != 0:
-        raise UsageError("--grid: must be a positive even integer")
+    _check_grid(grid)
     f = _parse_init(p["init"], grid)
     # format(nan, spec) is already "nan", so _fmt's NaN branch is not needed
     spec = f".{cfg.digits}g"
     xs = [format(k * eps, spec) for k in range(grid)]
-    # written one time slice at a time, so only one slice of rows is held
+    # `%` with a .Ng field formats a float exactly as format(x, ".Ng"), and
+    # the t and x strings hold no "%", so each block of rows is one template
+    # filled with its five value columns
+    fields = ",".join([f"%{spec}"] * 5)
+    # written in blocks of rows, so the text held does not grow with the grid
     with _open_output(cfg.out) as fh:
         fh.write("t,x,re_plus,im_plus,re_minus,im_minus,prob\n")
         for s in range(steps + 1):
             t = format(s * eps, spec)
-            rows = [
-                f"{t},{x},{plus.real:{spec}},{plus.imag:{spec}},{minus.real:{spec}},"
-                f"{minus.imag:{spec}},{abs(plus) ** 2 + abs(minus) ** 2:{spec}}"
-                for x, plus, minus in zip(xs, f.psi_plus.tolist(), f.psi_minus.tolist())
-            ]
-            fh.write("\n".join(rows) + "\n")
+            for lo in range(0, grid, _CSV_ROWS):
+                rows = slice(lo, lo + _CSV_ROWS)
+                pp, pm = f.psi_plus[rows], f.psi_minus[rows]
+                values = np.column_stack((pp.real, pp.imag, pm.real, pm.imag, _probabilities(pp, pm)))
+                template = "".join([f"{t},{x},{fields}\n" for x in xs[rows]])
+                fh.write(template % tuple(values.ravel().tolist()))
             if s < steps:
                 f = walk_step(f, mass, eps)
     if p["dump_state"]:
@@ -210,8 +242,7 @@ def _run_converge(cfg: RunConfig) -> int:
         raise UsageError("--mass: must be >= 0")
     if p["time"] <= 0:
         raise UsageError("--time: must be positive")
-    if p["grid"] < 2 or p["grid"] % 2 != 0:
-        raise UsageError("--grid: must be a positive even integer")
+    _check_grid(p["grid"])
     eps_list = p["eps"]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise UsageError("--eps: list must be strictly decreasing")

@@ -12,6 +12,12 @@ d_t psi = -sigma3 d_x psi - i m sigma1 psi (the mass couples the two
 components). Analytic plane-wave references and convergence studies against
 them live here, as does the crosscheck identifying the walk with the
 one-particle sector of the block automaton.
+
+The stepper `walk_evolve` advances large grids in cache-sized tiles, each
+gathered with a halo of as many sites as it is stepped before its interior
+is written back. Every amplitude still gets the same IEEE operations in the
+same order as the plain whole-grid recurrence, so the tiling never shows in
+a printed digit, a signed zero or a crosscheck bit.
 """
 
 from __future__ import annotations
@@ -86,47 +92,82 @@ def dirac_scattering_unitary(mass: float, eps: float) -> ScatteringUnitary:
     return ScatteringUnitary(2, 1, m)
 
 
+# Tile width and halo of `walk_evolve`, chosen by a sweep at one thread on a
+# core with a 2 MiB L2 (65536 and 16384 sites, 1000 steps; tiles of 4096 to
+# 32768 sites, halos of 64 to 512). At 16384 sites the five tile rows take
+# 1.3 MiB, inside L2 with room for the whole-grid arrays streaming through.
+# Narrower tiles pay numpy's fixed cost per call on fewer sites (8192: about
+# 10% slower); wider ones spill L2 (32768: about 45% slower). The halo
+# hardly matters in that range: each round adds a gather and a copy-out per
+# tile and about _HALO / _TILE of redundant sites per step.
+_TILE = 16384
+_HALO = 128
+
+
 def walk_step(f: WalkField, mass: float, eps: float) -> WalkField:
     """One update of the two recurrence lines with periodic wraparound."""
     return walk_evolve(f, mass, eps, 1)
 
 
 def walk_evolve(f: WalkField, mass: float, eps: float, steps: int) -> WalkField:
-    """`steps` updates of the two recurrence lines, vectorized over the grid.
+    """`steps` updates of the two recurrence lines, in cache-sized tiles.
 
-    The shifts are slice writes into buffers allocated once per call and
-    swapped each step, so no step allocates. Each amplitude is computed as
-    `c * shifted - (1j * s) * other`, the same IEEE operations in the same
-    order as the plain recurrence, so the result is bitwise that
-    recurrence (signed zeros included). The input field is not modified.
+    The grid is cut into ceil(n / _TILE) tiles of nearly equal width. A
+    round advances every tile k = min(_HALO, steps left) steps: the tile
+    and k sites of periodic halo on each side are gathered into small
+    buffers, stepped on a window that loses one site per side per step
+    (the halo absorbs the shift of each line), and the tile's interior is
+    written out. Each round reads only the previous round's output, so
+    tiles are independent, and the working set of a round stays in cache
+    while the whole grid may not.
+
+    Each amplitude is computed as `c * shifted - (1j * s) * other`, the same
+    IEEE operations in the same order as the plain recurrence, so the result
+    is bitwise that recurrence (signed zeros and subnormals included),
+    however the grid is tiled. The input field is not modified.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if steps == 0:
-        return f.copy()
     c = math.cos(mass * eps)
     flip = 1j * math.sin(mass * eps)
-    pp = f.psi_plus.astype(np.complex128, copy=True)
-    pm = f.psi_minus.astype(np.complex128, copy=True)
-    next_pp = np.empty_like(pp)
-    next_pm = np.empty_like(pm)
-    tmp = np.empty_like(pp)
-    # The scalar stays the first operand: numpy's fused complex multiply is
-    # not symmetric in the sign of a zero that a product underflows to.
-    for _ in range(steps):
-        # psi_plus moves right: next_pp[x] = c * pp[x-1] - flip * pm[x]
-        np.multiply(c, pp[:-1], out=next_pp[1:])
-        np.multiply(c, pp[-1:], out=next_pp[:1])
-        np.multiply(flip, pm, out=tmp)
-        np.subtract(next_pp, tmp, out=next_pp)
-        # psi_minus moves left: next_pm[x] = c * pm[x+1] - flip * pp[x]
-        np.multiply(c, pm[1:], out=next_pm[:-1])
-        np.multiply(c, pm[:1], out=next_pm[-1:])
-        np.multiply(flip, pp, out=tmp)
-        np.subtract(next_pm, tmp, out=next_pm)
-        pp, next_pp = next_pp, pp
-        pm, next_pm = next_pm, pm
-    return WalkField(pp, pm)
+    cur = np.array((f.psi_plus, f.psi_minus))
+    nxt = np.empty_like(cur)
+    n = f.grid_size
+    tiles = -(-n // _TILE)
+    edges = [n * i // tiles for i in range(tiles + 1)]
+    # rows: the two components, their next values, and the flip products
+    bufs = np.empty((5, -(-n // tiles) + 2 * min(_HALO, steps)), dtype=np.complex128)
+    tmp = bufs[4]
+    left = steps
+    while left:
+        k = min(_HALO, left)
+        for a, b in zip(edges, edges[1:]):
+            w = b - a + 2 * k
+            if k <= a and b + k <= n:
+                np.copyto(bufs[:2, :w], cur[:, a - k : b + k])
+            else:
+                np.take(cur, np.arange(a - k, b + k), axis=1, out=bufs[:2, :w], mode="wrap")
+            p, m, q, r = bufs[:4, :w]
+            # Step lo leaves sites lo..w-lo-1 exact. The scalar stays the
+            # first operand: numpy's fused complex multiply is not symmetric
+            # in the sign of a zero that a product underflows to.
+            for lo in range(1, k + 1):
+                hi = w - lo
+                # psi_plus moves right: q[x] = c * p[x-1] - flip * m[x]
+                np.multiply(c, p[lo - 1 : hi - 1], out=q[lo:hi])
+                np.multiply(flip, m[lo:hi], out=tmp[lo:hi])
+                np.subtract(q[lo:hi], tmp[lo:hi], out=q[lo:hi])
+                # psi_minus moves left: r[x] = c * m[x+1] - flip * p[x]
+                np.multiply(c, m[lo + 1 : hi + 1], out=r[lo:hi])
+                np.multiply(flip, p[lo:hi], out=tmp[lo:hi])
+                np.subtract(r[lo:hi], tmp[lo:hi], out=r[lo:hi])
+                p, q = q, p
+                m, r = r, m
+            nxt[0, a:b] = p[k : w - k]
+            nxt[1, a:b] = m[k : w - k]
+        cur, nxt = nxt, cur
+        left -= k
+    return WalkField(cur[0], cur[1])
 
 
 def _positive_branch_spinor(k: float, mass: float) -> tuple:

@@ -200,7 +200,10 @@ def hermitian_exp(h, t: float):
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     w, v = np.linalg.eigh(m)
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    # conjugating v in place once it is scaled saves a full-size copy; the
+    # product gets the same operands, so the same bits
+    scaled = v * np.exp(-1j * t * w)
+    u = scaled @ np.conjugate(v, out=v).T
     if isinstance(h, DenseOperator):
         return DenseOperator(h.ring, u)
     return u

@@ -72,29 +72,41 @@ class GlobalHamiltonian:
     odd: DenseOperator = field(repr=False)
 
 
+def _coupling_terms(h: TwoCellHamiltonian, ring: RingSpace):
+    """(x, h_x as a dense matrix) for x = 0..N-1, h_x on cells (x, x+1 mod N),
+    one term alive at a time."""
+    n, d = ring.cell_count, ring.local_dim
+    if d != h.local_dim:
+        raise ValueError("ring local dimension does not match the coupling")
+    if n < 2 or n % 2 != 0:
+        raise ValueError("ring must have an even number of cells, at least 2")
+    return ((x, op_at(ring, (x, (x + 1) % n), h.matrix).matrix) for x in range(n))
+
+
+def _ring_hamiltonian(h: TwoCellHamiltonian, ring: RingSpace) -> np.ndarray:
+    """H = sum_x h_x alone, summed in increasing x as in
+    `build_global_hamiltonian`, so the two totals are the same bits."""
+    terms = _coupling_terms(h, ring)
+    total = np.zeros((ring.dim, ring.dim), dtype=np.complex128)
+    for _, term in terms:
+        total += term
+    return total
+
+
 def build_global_hamiltonian(h: TwoCellHamiltonian, ring: RingSpace) -> GlobalHamiltonian:
     """Sum the coupling over all adjacent pairs with periodic wraparound.
 
     h_x acts on cells (x, x+1 mod N); the even part collects even x (the
     couplings inside even-anchored blocks), the odd part the rest.
     """
-    n, d = ring.cell_count, ring.local_dim
-    if d != h.local_dim:
-        raise ValueError("ring local dimension does not match the coupling")
-    if n < 2 or n % 2 != 0:
-        raise ValueError("ring must have an even number of cells, at least 2")
+    terms = _coupling_terms(h, ring)
     total = np.zeros((ring.dim, ring.dim), dtype=np.complex128)
-    even = np.zeros_like(total)
-    odd = np.zeros_like(total)
-    for x in range(n):
-        term = op_at(ring, (x, (x + 1) % n), h.matrix).matrix
+    parts = [np.zeros_like(total), np.zeros_like(total)]
+    for x, term in terms:
         total += term
-        if x % 2 == 0:
-            even += term
-        else:
-            odd += term
+        parts[x % 2] += term
     return GlobalHamiltonian(
-        DenseOperator(ring, total), DenseOperator(ring, even), DenseOperator(ring, odd)
+        DenseOperator(ring, total), DenseOperator(ring, parts[0]), DenseOperator(ring, parts[1])
     )
 
 
@@ -109,7 +121,7 @@ def splitting_error(h: TwoCellHamiltonian, ring: RingSpace, dt: float) -> float:
     """Spectral-norm distance between exp(-i dt H) and the even/odd split
     exp(-i dt H_o) exp(-i dt H_e), built as the composed step of
     `trotter_pqca(h, dt)`. Second order in dt; zero when the parts commute."""
-    exact = hermitian_exp(build_global_hamiltonian(h, ring).total.matrix, dt)
+    exact = hermitian_exp(_ring_hamiltonian(h, ring), dt)
     split = composed_step_operator(trotter_pqca(h, dt), ring).matrix
     return spectral_norm(exact - split)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcalab import cli
 from qcalab.cli import main
 from qcalab.dirac import WalkField, gaussian_field, walk_step
 from qcalab.pqca import ScatteringUnitary, save_unitary
@@ -38,6 +39,21 @@ class TestWalkCommand:
         code, _, err = run_cli(["walk", "--grid", "63"], capsys)
         assert code == 2
         assert "--grid" in err
+
+    @pytest.mark.parametrize("command", ["walk", "converge"])
+    def test_oversized_grid_refused_before_allocating(self, capsys, command):
+        code, out, err = run_cli([command, "--grid", "100000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: --grid: 100000000000 sites exceed the limit")
+        assert "9600000000000 bytes" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["walk", "converge"])
+    def test_first_grid_over_the_limit_refused(self, capsys, command):
+        code, _, err = run_cli([command, "--grid", str(cli.MAX_GRID + 2)], capsys)
+        assert code == 2
+        assert f"--grid: {cli.MAX_GRID + 2} sites exceed the limit of {cli.MAX_GRID}" in err
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -91,7 +107,7 @@ def reference_walk_csv(mass, eps, steps, field, digits):
 
 
 class TestWalkCsvBytes:
-    @pytest.mark.parametrize("digits", [6, 17])
+    @pytest.mark.parametrize("digits", [3, 6, 17])
     @pytest.mark.parametrize(
         "init, field",
         [
@@ -108,6 +124,30 @@ class TestWalkCsvBytes:
         )
         assert code == 0
         assert out == reference_walk_csv(0.7, 0.15, 12, field(), digits)
+
+    @pytest.mark.parametrize("digits", [3, 17])
+    def test_signed_zero_underflow(self, capsys, digits):
+        # at a quarter turn the amplitudes underflow to zeros whose signs
+        # the products decide
+        code, out, _ = run_cli(
+            ["walk", "--grid", "64", "--steps", "50", "--mass", "1.5707963267948966",
+             "--epsilon", "1.0", "--init", "delta:30", "--digits", str(digits)],
+            capsys,
+        )
+        assert code == 0
+        assert ",-0," in out
+        assert out == reference_walk_csv(math.pi / 2, 1.0, 50, WalkField(np.eye(64)[30], np.zeros(64)), digits)
+
+    def test_blocks_of_rows(self, capsys, monkeypatch):
+        # 48 rows a slice in blocks of 5: every block edge and a short last block
+        monkeypatch.setattr(cli, "_CSV_ROWS", 5)
+        code, out, _ = run_cli(
+            ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",
+             "--init", "gauss:20.5:3:2"],
+            capsys,
+        )
+        assert code == 0
+        assert out == reference_walk_csv(0.7, 0.15, 12, gaussian_field(48, 20.5, 3.0, 2, "plus"), 17)
 
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         argv = ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",

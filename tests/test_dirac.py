@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcalab import dirac
 from qcalab.dirac import (
     ConvergenceResult,
     WalkField,
@@ -370,3 +371,29 @@ class TestBitwiseRecurrence:
         out = walk_evolve(f, 0.7, 0.3, 37)
         assert g.psi_plus.tobytes() == out.psi_plus.tobytes()
         assert g.psi_minus.tobytes() == out.psi_minus.tobytes()
+
+    def test_two_tiles_and_three_rounds(self):
+        # two tiles of _TILE + 3 sites; rounds of _HALO, _HALO and 3 steps
+        grid, steps = 2 * dirac._TILE + 6, 2 * dirac._HALO + 3
+        f = signed_zero_field(grid, 2)
+        out = walk_evolve(f, 0.7, 0.3, steps)
+        pp, pm = roll_recurrence(f, 0.7, 0.3, steps)
+        assert out.psi_plus.tobytes() == pp.tobytes()
+        assert out.psi_minus.tobytes() == pm.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 13])
+    @pytest.mark.parametrize("mass, eps", [(0.7, 0.3), (math.pi / 2, 1.0)])
+    def test_small_tiles_match_roll_recurrence(self, monkeypatch, steps, mass, eps):
+        # tiles of at most 5 sites and halos of 3: every tile edge, the
+        # wraparound and halos wider than the grid on grids of 2 to 64 sites,
+        # for step counts below, at and above the halo and over several rounds
+        monkeypatch.setattr(dirac, "_TILE", 5)
+        monkeypatch.setattr(dirac, "_HALO", 3)
+        for grid in range(2, 65):
+            f = signed_zero_field(grid, grid)
+            before = (f.psi_plus.tobytes(), f.psi_minus.tobytes())
+            out = walk_evolve(f, mass, eps, steps)
+            pp, pm = roll_recurrence(f, mass, eps, steps)
+            assert out.psi_plus.tobytes() == pp.tobytes(), grid
+            assert out.psi_minus.tobytes() == pm.tobytes(), grid
+            assert (f.psi_plus.tobytes(), f.psi_minus.tobytes()) == before

@@ -322,6 +322,28 @@ class TestHermitianExp:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 257])
+    def test_bits_of_the_conjugated_copy_form(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (a + a.conj().T) / 2
+        w, v = np.linalg.eigh(h)
+        expected = (v * np.exp(-1j * 0.3 * w)) @ v.conj().T
+        assert hermitian_exp(h, 0.3).tobytes() == expected.tobytes()
+
+    def test_peak_memory_three_matrices(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        h = (a + a.conj().T) / 2
+        tracemalloc.start()
+        try:
+            hermitian_exp(h, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the eigenvectors, their scaled copy and the product
+        assert peak < 3.1 * h.nbytes
+
 
 class TestTraceDistance:
     def test_equal_states(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ class TestSplittingError:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         splitting_error(random_coupling(2, 3), ring, 0.1)
         assert sorted(sizes) == [4, ring.dim]
+
+    def test_bits_and_peak_at_eight_cells(self):
+        # H is summed alone, in the interleaved order of
+        # build_global_hamiltonian, so the value is the same float as when
+        # the even and odd sums were built alongside it
+        ring = RingSpace(8, 2)
+        tracemalloc.start()
+        try:
+            err = splitting_error(random_coupling(2, 1), ring, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err == 0.4402249728678763
+        # H and hermitian_exp's three full-size arrays; with the unused
+        # even and odd sums the peak was 5.4 of them
+        assert peak < 4.5 * ring.dim**2 * 16
 
 
 class TestCrosscheck:
