@@ -34,6 +34,7 @@ from .dirac import (
 from .operators import identity_operator, unitarity_defect
 from .pqca import (
     Pqca,
+    ScatteringUnitary,
     check_quiescence,
     composed_step_operator,
     load_unitary,
@@ -41,8 +42,21 @@ from .pqca import (
     regroup_pairs,
 )
 from .state import Configuration, RingSpace, SparseState, Alphabet, dump_state
-from .structure import build_localization, causality_check, signalling_demo, xor_lifted
-from .trotter import exchange_coupling, random_coupling, splitting_error, trotter_vs_pqca_crosscheck
+from .structure import (
+    build_localization,
+    causality_check,
+    quiescence_preserving_local,
+    signalling_demo,
+    single_cell_product,
+    xor_lifted,
+)
+from .trotter import (
+    TwoCellHamiltonian,
+    exchange_coupling,
+    random_coupling,
+    splitting_error,
+    trotter_vs_pqca_crosscheck,
+)
 
 PASS_TOL = 1e-10
 # Largest --grid of walk and converge, checked before anything of grid length
@@ -291,8 +305,6 @@ def _run_trotter(cfg: RunConfig) -> int:
 
 
 def _localization_instance(system: str, cells: int, mass: float, eps: float, seed: int):
-    from .structure import quiescence_preserving_local, single_cell_product
-
     if system == "identity":
         ring = RingSpace(cells, 2)
         return identity_operator(ring), (0,)
@@ -341,7 +353,7 @@ def _run_localize(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _causality_instance(p: dict, seed: int):
+def _causality_instance(p: dict):
     system = p["system"]
     if system == "identity":
         return identity_operator(RingSpace(p["cells"], 2)), True
@@ -365,7 +377,7 @@ def _run_causality(cfg: RunConfig) -> int:
     p = cfg.params
     if p["expect"] not in ("pass", "fail"):
         raise UsageError("--expect: must be 'pass' or 'fail'")
-    g, periodic = _causality_instance(p, cfg.seed)
+    g, periodic = _causality_instance(p)
     nbhd = p["neighbourhood"]
     report = causality_check(g, nbhd, periodic=periodic)
     lines = [
@@ -471,8 +483,6 @@ def _selftest_converge(seed: int):
 
 
 def _selftest_trotter(seed: int):
-    from .trotter import TwoCellHamiltonian
-
     ring = RingSpace(4, 2)
     hd = TwoCellHamiltonian(2, np.diag([0.0, 0.7, -0.3, 1.1]).astype(complex))
     assert splitting_error(hd, ring, 0.3) < 1e-12, "diagonal split not exact"
@@ -502,7 +512,7 @@ def _selftest_localize(seed: int):
 def _selftest_causality(seed: int):
     assert causality_check(identity_operator(RingSpace(4, 2)), (0,)).passed
     yield "identity is causal with trivial neighbourhood"
-    g2, _ = _causality_instance({"system": "dirac", "cells": 8, "mass": 0.5, "epsilon": 0.3}, seed)
+    g2, _ = _causality_instance({"system": "dirac", "cells": 8, "mass": 0.5, "epsilon": 0.3})
     assert causality_check(g2, (-1, 0, 1)).passed, "composed step not causal on supercells"
     yield "composed two-phase step causal with supercell neighbourhood {-1,0,1}"
     rep = causality_check(xor_lifted(4), (-2, -1, 0, 1, 2), periodic=False)
@@ -524,8 +534,6 @@ def _selftest_quiescence(seed: int):
         assert unitarity_defect(u.matrix) < 1e-12 and check_quiescence(u) < 1e-12
     yield "seeded scattering unitaries are unitary and quiescence-preserving"
     bad = np.eye(4)[:, [2, 1, 0, 3]].astype(complex)
-    from .pqca import ScatteringUnitary
-
     defect = check_quiescence(ScatteringUnitary(2, 1, bad))
     assert abs(defect - math.sqrt(2)) < 1e-12, f"expected sqrt(2), got {defect}"
     yield "non-quiescent unitary is detected"

@@ -1,4 +1,4 @@
-"""Dense operators on a finite cell register: application, partial traces,
+"""Dense operators on a finite cell register: reduced states,
 minimal-support extraction, Hermitian exponentials and trace distance.
 Everything is plain numpy; sizes are capped by RingSpace.
 
@@ -20,10 +20,6 @@ from .state import RingSpace
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 SUPPORT_TOL = 1e-10
-
-
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        herm = np.linalg.norm(m - m.conj().T)
+        herm = hermiticity_defect(m)
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: defect {herm:.3e}")
         tr = np.trace(m)
@@ -81,32 +77,14 @@ def identity_operator(ring: RingSpace) -> DenseOperator:
     return DenseOperator(ring, np.eye(ring.dim, dtype=np.complex128))
 
 
-def apply(op: DenseOperator, vector: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; preserves the norm when `op` is unitary."""
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.shape != (op.dim,):
-        raise ValueError(f"vector length {v.shape} does not match operator dimension {op.dim}")
-    return op.matrix @ v
-
-
-def unitarity_defect(op) -> float:
-    """Frobenius norm of op^dag op - I."""
-    m = _as_matrix(op)
+def unitarity_defect(m: np.ndarray) -> float:
+    """Frobenius norm of m^dag m - I."""
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
-def hermiticity_defect(op) -> float:
-    m = _as_matrix(op)
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Frobenius norm of m - m^dag."""
     return float(np.linalg.norm(m - m.conj().T))
-
-
-def density_from_vector(vector: np.ndarray, ring: RingSpace) -> DensityMatrix:
-    v = np.asarray(vector, dtype=np.complex128)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("zero vector has no density matrix")
-    v = v / n
-    return DensityMatrix(np.outer(v, v.conj()), tuple(range(ring.cell_count)), ring.local_dim)
 
 
 def reduced_density_from_vector(vector: np.ndarray, ring: RingSpace, keep) -> DensityMatrix:
@@ -130,27 +108,6 @@ def reduced_density_from_vector(vector: np.ndarray, ring: RingSpace, keep) -> De
     dk = d ** len(keep)
     flat = t.transpose(order).reshape(-1, dk)
     return DensityMatrix(flat.T @ flat.conj(), keep, d)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the cell subset `keep` (labels, kept in
-    ascending order). Empty subset reduces to the 1x1 matrix [trace]."""
-    keep = tuple(sorted(keep))
-    labels = rho.cells
-    if any(k not in labels for k in keep):
-        raise ValueError(f"keep set {keep} not contained in cells {labels}")
-    n = len(labels)
-    d = rho.local_dim
-    if not keep:
-        return DensityMatrix(np.array([[np.trace(rho.matrix)]]), (), d)
-    positions = [labels.index(k) for k in keep]
-    t = rho.matrix.reshape([d] * (2 * n))
-    subs = list(range(n))
-    subs += [n + i if i in positions else i for i in range(n)]
-    out = positions + [n + i for i in positions]
-    reduced = np.einsum(t, subs, out)
-    dk = d ** len(keep)
-    return DensityMatrix(reduced.reshape(dk, dk), keep, d)
 
 
 def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
@@ -190,23 +147,16 @@ def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     return tuple(support)
 
 
-def hermitian_exp(h, t: float):
-    """Unitary exp(-i t h) for Hermitian h, via eigendecomposition.
-
-    Returns the same container kind as the input (DenseOperator or ndarray).
-    """
-    m = _as_matrix(h)
-    defect = float(np.linalg.norm(m - m.conj().T))
+def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i t h) for the Hermitian matrix h, via eigendecomposition."""
+    defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(h)
     # conjugating v in place once it is scaled saves a full-size copy; the
     # product gets the same operands, so the same bits
     scaled = v * np.exp(-1j * t * w)
-    u = scaled @ np.conjugate(v, out=v).T
-    if isinstance(h, DenseOperator):
-        return DenseOperator(h.ring, u)
-    return u
+    return scaled @ np.conjugate(v, out=v).T
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -217,9 +167,9 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
 
 
-def spectral_norm(op) -> float:
+def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value (LAPACK SVD)."""
-    return float(np.linalg.norm(_as_matrix(op), 2))
+    return float(np.linalg.norm(m, 2))
 
 
 def op_at(ring: RingSpace, cells, local: np.ndarray) -> DenseOperator:
@@ -263,25 +213,3 @@ def translation_operator(ring: RingSpace) -> DenseOperator:
         rotated = symbols[1:] + symbols[:1]
         p[ring.index_of(rotated), idx] = 1.0
     return DenseOperator(ring, p)
-
-
-def tensor_state(ring: RingSpace, factors) -> np.ndarray:
-    """Assemble a full-register vector from factors on disjoint cell groups.
-
-    `factors` is a list of (cells, vector) pairs whose cell groups partition
-    the register; each vector is indexed mixed-radix over its own cells.
-    """
-    d = ring.local_dim
-    cells_order = []
-    full = np.array([1.0 + 0.0j])
-    for cells, vec in factors:
-        cells = tuple(cells)
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (d ** len(cells),):
-            raise ValueError(f"factor on cells {cells} has wrong length {vec.shape}")
-        cells_order.extend(cells)
-        full = np.kron(full, vec)
-    if sorted(cells_order) != list(range(ring.cell_count)):
-        raise ValueError(f"factors do not partition the register: {sorted(cells_order)}")
-    src = [cells_order.index(c) for c in range(ring.cell_count)]
-    return full.reshape([d] * ring.cell_count).transpose(src).reshape(-1)

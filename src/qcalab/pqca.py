@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DenseOperator, op_at, unitarity_defect
+from .operators import UNITARITY_TOL, DenseOperator, op_at, unitarity_defect
 from .state import MAX_DENSE_DIM, PRUNE_THRESHOLD, Configuration, RingSpace, SparseState
 
 QUIESCENCE_TOL = 1e-10
@@ -86,7 +86,7 @@ class ScatteringUnitary:
         if m.shape != (expected, expected):
             raise ValueError(f"scattering matrix must be {expected}x{expected}, got {m.shape}")
         defect = unitarity_defect(m)
-        if defect > 1e-10:
+        if defect > UNITARITY_TOL:
             raise ValueError(f"scattering matrix is not unitary: defect {defect:.3e}")
         object.__setattr__(self, "matrix", m)
 

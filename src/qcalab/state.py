@@ -32,10 +32,6 @@ class Alphabet:
         if self.size < 2:
             raise ValueError(f"alphabet size must be >= 2, got {self.size}")
 
-    def doubled(self) -> "Alphabet":
-        """Alphabet of subcell pairs, (left, right) encoded as left*size + right."""
-        return Alphabet(self.size * self.size)
-
 
 class Configuration:
     """Immutable finite-support assignment of nonzero symbols to lattice points."""
@@ -92,26 +88,6 @@ class Configuration:
     def __repr__(self):
         body = ";".join(f"{p}:{s}" for p, s in self.cells)
         return f"Configuration({self.dimension}, {body!r})"
-
-    def symbol_at(self, point) -> int:
-        point = tuple(point)
-        for p, s in self.cells:
-            if p == point:
-                return s
-        return 0
-
-    @property
-    def support(self) -> tuple:
-        return tuple(p for p, _ in self.cells)
-
-    def translated(self, axis: int, amount: int) -> "Configuration":
-        """Support moved by `amount` along `axis` (content relabelled)."""
-        if not (0 <= axis < self.dimension):
-            raise ValueError(f"axis {axis} out of range for dimension {self.dimension}")
-        moved = tuple(
-            (p[:axis] + (p[axis] + amount,) + p[axis + 1 :], s) for p, s in self.cells
-        )
-        return Configuration(self.dimension, moved)
 
 
 # The slots' member descriptors, bound once: they set a slot past the
@@ -171,94 +147,11 @@ class SparseState:
             self.alphabet, self.dimension, {c: a / n for c, a in self.terms.items()}
         )
 
-    def scaled(self, factor: complex) -> "SparseState":
-        return SparseState(
-            self.alphabet, self.dimension, {c: a * factor for c, a in self.terms.items()}
-        )
-
-    def add(self, other: "SparseState") -> "SparseState":
-        _check_compatible(self, other)
-        merged = dict(self.terms)
-        for c, a in other.terms.items():
-            merged[c] = merged.get(c, 0.0) + a
-        return SparseState(self.alphabet, self.dimension, merged)
-
     def __len__(self):
         return len(self.terms)
 
     def __repr__(self):
         return f"SparseState({len(self.terms)} terms, d={self.alphabet.size}, n={self.dimension})"
-
-
-def _check_compatible(a: SparseState, b: SparseState):
-    if a.alphabet != b.alphabet:
-        raise ValueError(
-            f"alphabet mismatch: size {a.alphabet.size} vs {b.alphabet.size}"
-        )
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-
-
-def shift(state: SparseState, axis: int, amount: int) -> SparseState:
-    """Lattice translation: content at i+amount moves to i along `axis`.
-
-    Applying the one-step translation to a basis state occupying point 0
-    yields the basis state occupying point -1; amplitudes are unchanged.
-    """
-    return SparseState(
-        state.alphabet,
-        state.dimension,
-        {c.translated(axis, -amount): a for c, a in state.terms.items()},
-    )
-
-
-def inner_product(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the orthonormal configuration basis."""
-    _check_compatible(a, b)
-    if len(b.terms) < len(a.terms):
-        return complex(np.conj(inner_product(b, a)))
-    acc = 0.0 + 0.0j
-    for c, amp in a.terms.items():
-        other = b.terms.get(c)
-        if other is not None:
-            acc += np.conj(amp) * other
-    return complex(acc)
-
-
-def embed_double(state: SparseState) -> SparseState:
-    """Isometry into the doubled alphabet: each symbol s becomes the pair (0, s).
-
-    Pairs (l, r) are encoded as l*d + r, so occupied cells keep their numeric
-    symbol while the alphabet grows from d to d^2. Inner products are
-    preserved exactly.
-    """
-    doubled = state.alphabet.doubled()
-    # pair (0, s) encodes to 0*d + s = s: the support maps are reused as-is
-    terms = {
-        Configuration(state.dimension, c.cells): a for c, a in state.terms.items()
-    }
-    return SparseState(doubled, state.dimension, terms)
-
-
-def extract_right_subcells(state: SparseState, base: Alphabet) -> SparseState:
-    """Inverse of `embed_double` on its image: drop the (all-empty) left subcells.
-
-    Raises if any term holds a nonzero left subcell.
-    """
-    d = base.size
-    if state.alphabet.size != d * d:
-        raise ValueError("state is not over the doubled alphabet")
-    terms = {}
-    for config, amp in state.terms.items():
-        cells = []
-        for point, pair in config.cells:
-            left, right = divmod(pair, d)
-            if left != 0:
-                raise ValueError(f"nonzero left subcell {left} at {point}")
-            cells.append((point, right))
-        reduced = Configuration(config.dimension, tuple(cells))
-        terms[reduced] = terms.get(reduced, 0.0) + amp
-    return SparseState(base, state.dimension, terms)
 
 
 @dataclass(frozen=True)
@@ -267,7 +160,7 @@ class RingSpace:
 
     Basis index is mixed-radix over cell symbols with cell 0 the most
     significant digit. Also used as a plain quiescent-padded window where
-    periodicity is irrelevant (partial traces, support scans).
+    periodicity is irrelevant (reduced states, support scans).
     """
 
     cell_count: int
@@ -286,10 +179,6 @@ class RingSpace:
     @property
     def dim(self) -> int:
         return self.local_dim**self.cell_count
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.local_dim)
 
     def index_of(self, symbols) -> int:
         """Basis index of a full symbol assignment (cell 0 most significant)."""
@@ -331,18 +220,6 @@ def densify(state: SparseState, ring: RingSpace) -> np.ndarray:
             symbols[i] = s
         vec[ring.index_of(symbols)] += amp
     return vec
-
-
-def sparsify(vec: np.ndarray, ring: RingSpace) -> SparseState:
-    """Inverse of `densify`: read a coordinate vector back into a sparse state."""
-    if vec.shape != (ring.dim,):
-        raise ValueError(f"vector length {vec.shape} does not match ring dimension {ring.dim}")
-    terms = {}
-    for idx in np.nonzero(np.abs(vec) > PRUNE_THRESHOLD)[0]:
-        symbols = ring.symbols_of(int(idx))
-        cells = tuple(((i,), s) for i, s in enumerate(symbols) if s != 0)
-        terms[Configuration(1, cells)] = complex(vec[idx])
-    return SparseState(ring.alphabet, 1, terms)
 
 
 def dump_state(state: SparseState, digits: int = 17) -> str:

@@ -38,8 +38,6 @@ from .state import RingSpace
 
 # Symbol encoding for the three-letter alphabet {empty, t, f}.
 EMPTY, T_SYM, F_SYM = 0, 1, 2
-_SYMBOL_CHARS = {EMPTY: "0", T_SYM: "t", F_SYM: "f"}
-_CHAR_SYMBOLS = {v: k for k, v in _SYMBOL_CHARS.items()}
 
 
 def xor_plus(a: int, b: int) -> int:
@@ -58,48 +56,11 @@ def xor_plus(a: int, b: int) -> int:
     return T_SYM if bit else F_SYM
 
 
-@dataclass(frozen=True)
-class XorWord:
-    """Finite word over {0, t, f} with no leading/trailing empties stored."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        syms = tuple(int(s) for s in self.symbols)
-        if any(s not in (EMPTY, T_SYM, F_SYM) for s in syms):
-            raise ValueError(f"symbols must be in {{0, t, f}}, got {syms}")
-        while syms and syms[0] == EMPTY:
-            syms = syms[1:]
-        while syms and syms[-1] == EMPTY:
-            syms = syms[:-1]
-        object.__setattr__(self, "symbols", syms)
-
-    @classmethod
-    def from_string(cls, text: str) -> "XorWord":
-        try:
-            return cls(tuple(_CHAR_SYMBOLS[ch] for ch in text))
-        except KeyError as exc:
-            raise ValueError(f"invalid symbol character {exc}") from exc
-
-    def __str__(self):
-        return "".join(_SYMBOL_CHARS[s] for s in self.symbols)
-
-    def __len__(self):
-        return len(self.symbols)
-
-
-def xor_ca_step(word: XorWord, window: int | None = None) -> XorWord:
-    """One step of the classical rule: new value at i is c_i + c_{i+1}.
-
-    The support never grows (the rightmost symbol combines with empty and is
-    kept; empty cells stay empty)."""
-    if window is not None and len(word) > window:
-        raise ValueError(f"word of length {len(word)} does not fit window {window}")
-    return XorWord(xor_window_step(word.symbols))
-
-
 def xor_window_step(symbols: tuple) -> tuple:
-    """The rule applied to a raw fixed-length window (empty outside)."""
+    """One step of the classical rule on a fixed-length window, empty
+    outside: the new value at i is c_i + c_{i+1}. The support never grows
+    (the rightmost symbol combines with empty and is kept; empty cells stay
+    empty)."""
     n = len(symbols)
     return tuple(
         xor_plus(symbols[i], symbols[i + 1] if i + 1 < n else EMPTY) for i in range(n)

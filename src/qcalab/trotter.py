@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseOperator, hermitian_exp, hermiticity_defect, op_at, spectral_norm
+from .operators import (
+    HERMITICITY_TOL,
+    DenseOperator,
+    hermitian_exp,
+    hermiticity_defect,
+    op_at,
+    spectral_norm,
+)
 from .pqca import Pqca, ScatteringUnitary, apply_phase, composed_step_operator
 from .state import RingSpace
 
@@ -34,7 +41,7 @@ class TwoCellHamiltonian:
         if m.shape != (d2, d2):
             raise ValueError(f"coupling must be {d2}x{d2}, got {m.shape}")
         herm = hermiticity_defect(m)
-        if herm > 1e-10:
+        if herm > HERMITICITY_TOL:
             raise ValueError(f"coupling is not Hermitian: defect {herm:.3e}")
         quiet = float(np.linalg.norm(m[:, 0]))
         if quiet > QUIESCENT_ROW_TOL:
@@ -146,17 +153,3 @@ def trotter_vs_pqca_crosscheck(
         deviation = max(deviation, float(np.max(np.abs(va - vb))))
     return deviation
 
-
-def align_global_phase(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Rotate `candidate` by the conjugate phase of the largest-modulus
-    component overlap with `reference`, for phase-insensitive comparisons."""
-    overlaps = np.conj(reference) * candidate
-    i = int(np.argmax(np.abs(overlaps)))
-    z = overlaps[i]
-    if abs(z) == 0.0:
-        return candidate.copy()
-    return candidate * (np.conj(z) / abs(z))
-
-
-def energy_expectation(hamiltonian: DenseOperator, v: np.ndarray) -> float:
-    return float(np.real(np.vdot(v, hamiltonian.matrix @ v)))

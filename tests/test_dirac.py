@@ -44,6 +44,13 @@ class TestScatteringUnitary:
             assert np.linalg.norm(u[:, 0] - np.eye(4)[:, 0]) == 0.0
             assert np.linalg.norm(u[:, 3] - np.eye(4)[:, 3]) == 0.0
 
+    def test_dirac_unitary_scatters_right_mover(self):
+        # c = s = 1/sqrt(2): |01> -> (-i|01> + |10>)/sqrt(2)
+        u = dirac_scattering_unitary(np.pi / 4, 1.0).matrix
+        out = u @ np.array([0, 1, 0, 0], dtype=complex)
+        expected = np.array([0, -1j, 1, 0]) / np.sqrt(2)
+        assert np.allclose(out, expected, atol=1e-15)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="eps"):
             dirac_scattering_unitary(1.0, 0.0)

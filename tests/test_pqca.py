@@ -26,7 +26,6 @@ from qcalab.state import (
     RingSpace,
     SparseState,
     densify,
-    sparsify,
 )
 
 QUBIT = Alphabet(2)
@@ -502,7 +501,7 @@ class TestRingOperator:
         ring = RingSpace(6, 2)
         pq = Pqca(quiescence_preserving_unitary(3))
         for phase in ("even", "odd"):
-            assert unitarity_defect(pqca_as_ring_operator(pq, ring, phase)) < 1e-10
+            assert unitarity_defect(pqca_as_ring_operator(pq, ring, phase).matrix) < 1e-10
 
     def test_regroup_requires_even_cells(self):
         from qcalab.operators import identity_operator

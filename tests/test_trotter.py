@@ -9,9 +9,7 @@ from qcalab.state import RingSpace
 from qcalab.trotter import (
     GlobalHamiltonian,
     TwoCellHamiltonian,
-    align_global_phase,
     build_global_hamiltonian,
-    energy_expectation,
     exchange_coupling,
     random_coupling,
     splitting_error,
@@ -222,22 +220,27 @@ class TestCrosscheck:
         assert np.linalg.norm(j_odd - hermitian_exp(parts.odd.matrix, 0.2)) < 1e-12
 
 
+def energy(h, v):
+    """<v|H|v> for the dense ring Hamiltonian H."""
+    return float(np.real(np.vdot(v, h.matrix @ v)))
+
+
 class TestEnergy:
     def test_conserved_under_exact_evolution(self):
         h = random_coupling(2, 19)
         parts = build_global_hamiltonian(h, RING4)
         v = random_vector(3)
-        e0 = energy_expectation(parts.total, v)
+        e0 = energy(parts.total, v)
         for t in (0.3, 1.7, 6.4):
             vt = hermitian_exp(parts.total.matrix, t) @ v
-            assert energy_expectation(parts.total, vt) == pytest.approx(e0, abs=1e-9)
+            assert energy(parts.total, vt) == pytest.approx(e0, abs=1e-9)
 
     def test_split_drift_bounded_by_fitted_dt_squared_per_step(self):
         # fixed total time: steps = T/dt, so the bound C*dt^2*steps = C*T*dt
         h = random_coupling(2, 19)
         parts = build_global_hamiltonian(h, RING4)
         v = random_vector(4)
-        e0 = energy_expectation(parts.total, v)
+        e0 = energy(parts.total, v)
         total_time = 4.0
         drifts = {}
         for dt in (0.1, 0.05, 0.025):
@@ -248,7 +251,7 @@ class TestEnergy:
             worst = 0.0
             for s in range(steps):
                 w = (ee if s % 2 == 0 else eo) @ w
-                worst = max(worst, abs(energy_expectation(parts.total, w) - e0))
+                worst = max(worst, abs(energy(parts.total, w) - e0))
             drifts[dt] = worst
         coeffs = [drift / (dt * dt * round(total_time / dt)) for dt, drift in drifts.items()]
         c_fit = max(coeffs)
@@ -258,11 +261,3 @@ class TestEnergy:
         # the coefficient is stable across dt, confirming the scaling law
         assert max(coeffs) / min(coeffs) < 1.5
 
-
-def test_align_global_phase():
-    rng = np.random.default_rng(20)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    w = v * np.exp(1j * 0.7)
-    aligned = align_global_phase(v, w)
-    assert np.allclose(aligned, v, atol=1e-12)
-    assert np.array_equal(align_global_phase(np.zeros(3), np.ones(3)), np.ones(3))
