@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import re
 import sys
@@ -292,8 +293,7 @@ def _run_trotter(cfg: RunConfig) -> int:
     d = cfg.digits
     lines = ["dt,splitting_error,order_estimate"]
     prev = None
-    for dt in dts:
-        err = splitting_error(h, ring, dt)
+    for dt, err in zip(dts, splitting_error(h, ring, dts)):
         if prev is None or err <= 0 or prev[1] <= 0 or dt == prev[0]:
             order = math.nan
         else:
@@ -485,10 +485,10 @@ def _selftest_converge(seed: int):
 def _selftest_trotter(seed: int):
     ring = RingSpace(4, 2)
     hd = TwoCellHamiltonian(2, np.diag([0.0, 0.7, -0.3, 1.1]).astype(complex))
-    assert splitting_error(hd, ring, 0.3) < 1e-12, "diagonal split not exact"
+    assert splitting_error(hd, ring, [0.3])[0] < 1e-12, "diagonal split not exact"
     yield "commuting parts split exactly"
     h = random_coupling(2, seed)
-    errs = [splitting_error(h, ring, dt) for dt in (0.1, 0.05, 0.025)]
+    errs = splitting_error(h, ring, [0.1, 0.05, 0.025])
     for a, b in zip(errs, errs[1:]):
         assert 0.2 <= b / a <= 0.35, f"ratio {b / a} outside [0.2, 0.35]"
     yield "second-order splitting-error scaling"
@@ -677,7 +677,10 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it as it was, so each
+    `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="qcalab",
         description="simulation and structural verification workbench for block cellular automata",

@@ -110,6 +110,13 @@ def reduced_density_from_vector(vector: np.ndarray, ring: RingSpace, keep) -> De
     return DensityMatrix(flat.T @ flat.conj(), keep, d)
 
 
+def _digit_matrix(n: int, d: int) -> np.ndarray:
+    """d^n x (n d) 0/1 matrix whose column x d + k marks the basis states
+    with symbol k at cell x (cell 0 is the most significant digit)."""
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    return (digits[:, :, None] == np.arange(d)).reshape(d**n, n * d).astype(np.float64)
+
+
 def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     """Minimal cell set outside of which `op` acts as the identity.
 
@@ -120,26 +127,37 @@ def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
         ||[op, E_ij]||^2 = ||B_ii - B_jj||^2
                            + sum_{k != i} ||B_ki||^2 + sum_{l != j} ||B_jl||^2.
 
-    The block norms are sums over a reshape view of one |op|^2 array, and
-    the differences B_ii - B_jj (zero for i = j) subtract two strided views
-    of `op`, so no per-cell copy of `op` is made.
+    Every cell's table of block norms ||B_kl||^2 comes from one product:
+    with the digit matrix P (column (x, k) marks the basis states with
+    symbol k at cell x), P^T |op|^2 P holds cell x's table as its diagonal
+    d x d block (x, x). The two sums off the diagonal add only entries of
+    off-diagonal blocks, all nonnegative, so they keep their relative
+    accuracy. Taking them as a row or column total minus the diagonal block
+    would not: that block's squared norm grows like dim/d, and any leak
+    below its ulp cancels away. The differences B_ii - B_jj, needed only
+    where the off-diagonal mass is below the bound, subtract two strided
+    views of `op`. So commutator norms are resolved down to `tol` at any
+    dim, and no per-cell copy of `op` is made.
     """
     n, d = op.ring.cell_count, op.ring.local_dim
     m = np.ascontiguousarray(op.matrix)
     pairs = m.view(np.float64).reshape(m.shape + (2,))
     sq = np.einsum("ijk,ijk->ij", pairs, pairs)
+    p = _digit_matrix(n, d)
+    tables = (p.T @ (sq @ p)).reshape(n, d, n, d)
+    cells = np.arange(n)
+    off_sq = tables[cells, :, cells, :]  # off_sq[x, k, l] = ||B_kl||^2 at cell x
+    off_sq[:, range(d), range(d)] = 0.0
+    # off[x, i, j]: the two sums over blocks off the diagonal
+    off = off_sq.sum(axis=1)[:, :, None] + off_sq.sum(axis=2)[:, None, :]
     bound = tol * tol
     support = []
     for cell in range(n):
         shape = (d**cell, d, d ** (n - cell - 1))
         blocks = m.reshape(shape + shape)  # B_kl is blocks[:, k, :, :, l]
-        block_sq = sq.reshape(shape + shape).sum(axis=(0, 2, 3, 5))
-        diag_sq = np.diagonal(block_sq)
-        # off[i, j]: the two sums over blocks off the diagonal
-        off = (block_sq.sum(axis=0) - diag_sq)[:, None] + (block_sq.sum(axis=1) - diag_sq)
-        if np.any(off > bound) or any(
+        if np.any(off[cell] > bound) or any(
             np.linalg.norm(blocks[:, i, :, :, i] - blocks[:, j, :, :, j]) ** 2
-            + max(off[i, j], off[j, i])
+            + max(off[cell, i, j], off[cell, j, i])
             > bound
             for i, j in itertools.combinations(range(d), 2)
         ):
@@ -147,16 +165,28 @@ def support_of(op: DenseOperator, tol: float = SUPPORT_TOL) -> tuple:
     return tuple(support)
 
 
-def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i t h) for the Hermitian matrix h, via eigendecomposition."""
+def _hermitian_eigh(h: np.ndarray):
+    """Eigenvalues and eigenvectors of h, refused unless h is Hermitian."""
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    w, v = np.linalg.eigh(h)
-    # conjugating v in place once it is scaled saves a full-size copy; the
-    # product gets the same operands, so the same bits
+    return np.linalg.eigh(h)
+
+
+def _eigh_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t h) from h's eigendecomposition (w, v): v scaled by the
+    phases, times v^dag. v is conjugated in place for the product and back
+    after, which is exact, so no conjugated copy is made and v is left as
+    it was for the next t."""
     scaled = v * np.exp(-1j * t * w)
-    return scaled @ np.conjugate(v, out=v).T
+    out = scaled @ np.conjugate(v, out=v).T
+    np.conjugate(v, out=v)
+    return out
+
+
+def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i t h) for the Hermitian matrix h, via eigendecomposition."""
+    return _eigh_exp(*_hermitian_eigh(h), t)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -420,6 +420,34 @@ class TestConfigFile:
         assert "key=value" in err
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_runs_in_turn_match_fresh_parsers(self, capsys, tmp_path):
+        trotter_cfg = tmp_path / "trotter.cfg"
+        trotter_cfg.write_text("cells=4\ndt=0.2,0.1\n")
+        walk_cfg = tmp_path / "walk.cfg"
+        walk_cfg.write_text("mass=0\nsteps=2\ngrid=8\ninit=delta:4\n")
+        argvs = [
+            ["trotter", "--config", str(trotter_cfg)],
+            ["signal", "--length", "4"],
+            ["walk", "--config", str(walk_cfg)],
+            ["signal", "--lenght", "4"],
+            ["causality", "--system", "identity", "--cells", "3"],
+            ["walk", "--config", str(walk_cfg), "--steps", "1"],
+            ["trotter", "--config", str(trotter_cfg), "--dt", "0.3"],
+            ["causality", "--neighbourhood"],
+        ]
+        in_turn = [run_cli(argv, capsys) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [0, 0, 0, 2, 0, 0, 0, 2]
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "args, flag",

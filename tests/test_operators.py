@@ -166,6 +166,24 @@ class TestSupportOf:
         op, planted = planted_operator(n, d, seed, diagonal)
         assert support_of(op) == reference_support(op) == planted
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_leak_below_the_diagonal_ulp_is_support(self, eps):
+        # ||[I + eps X, E_01]|| = eps * sqrt(2) * sqrt(2^7) = 16 eps > SUPPORT_TOL.
+        # Taken as a column total minus the diagonal block (squared norm
+        # 128), the off-diagonal mass 128 eps^2 fell below that block's ulp.
+        op = op_at(RingSpace(8, 2), (3,), np.eye(2) + eps * SIGMA1)
+        assert support_of(op) == reference_support(op) == (3,)
+
+    @pytest.mark.parametrize(
+        "n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("factor", [0.0, 0.1, 10.0])
+    @pytest.mark.parametrize("part", ["dense", "diagonal", "off-diagonal"])
+    def test_matches_the_reference_with_planted_leaks(self, n, d, seed, factor, part):
+        op, expected = leaked_operator(n, d, seed, factor, part)
+        assert support_of(op) == reference_support(op) == expected
+
     def test_peak_memory_under_the_image(self):
         # cells 0-2 and 5-9 carry the identity, so each needs its diagonal
         # block difference
@@ -220,6 +238,28 @@ def planted_operator(n, d, seed, diagonal):
         np.kron(phase, np.kron(unit, local)),
     )
     return op, tuple(sorted([unit_cell, *planted]))
+
+
+def leaked_operator(n, d, seed, factor, part):
+    """`planted_operator` plus a random leak L on one cell outside its
+    support (dense; diagonal, so only the diagonal block differences see it;
+    or off-diagonal, so only the block norms off the diagonal do), scaled so that its largest commutator with a matrix unit there
+    has Frobenius norm `factor * SUPPORT_TOL`. The leak belongs to the
+    support iff that norm is above the tolerance. Returns the operator on
+    the ring and its support."""
+    op, planted = planted_operator(n, d, seed, False)
+    rng = np.random.default_rng([n, d, seed])
+    cell = min(set(range(n)) - set(planted))
+    leak = random_matrix(rng, d)
+    if part != "dense":
+        diagonal = np.diag(np.diag(leak))
+        leak = diagonal if part == "diagonal" else leak - diagonal
+    units = [np.outer(a, b) for a, b in itertools.product(np.eye(d), repeat=2)]
+    # the identity on the other n - 1 cells multiplies each norm by sqrt(d^(n-1))
+    norm = max(np.linalg.norm(leak @ e - e @ leak) for e in units) * np.sqrt(d ** (n - 1))
+    leak *= factor * SUPPORT_TOL / norm
+    leaked = DenseOperator(op.ring, op.matrix + op_at(op.ring, (cell,), leak).matrix)
+    return leaked, tuple(sorted([*planted, cell])) if factor > 1 else planted
 
 
 def random_matrix(rng, dim):

@@ -130,17 +130,18 @@ class TestTrotterPqca:
 
 class TestSplittingError:
     def test_zero_time_slice(self):
-        assert splitting_error(random_coupling(2, 7), RING4, 0.0) == pytest.approx(0.0, abs=1e-14)
+        (err,) = splitting_error(random_coupling(2, 7), RING4, [0.0])
+        assert err == pytest.approx(0.0, abs=1e-14)
 
     def test_commuting_parts_split_exactly(self):
         h = TwoCellHamiltonian(2, np.diag([0.0, 0.7, -0.3, 1.1]).astype(complex))
-        for dt in (0.5, 0.125):
-            assert splitting_error(h, RING4, dt) < 1e-12
+        for err in splitting_error(h, RING4, [0.5, 0.125]):
+            assert err < 1e-12
 
     @pytest.mark.parametrize("make", [lambda: exchange_coupling(), lambda: random_coupling(2, 11)])
     def test_second_order_ratio(self, make):
         h = make()
-        errs = [splitting_error(h, RING4, dt) for dt in (0.1, 0.05, 0.025)]
+        errs = splitting_error(h, RING4, [0.1, 0.05, 0.025])
         for a, b in zip(errs, errs[1:]):
             assert 0.2 <= b / a <= 0.35
 
@@ -152,7 +153,8 @@ class TestSplittingError:
         exact = hermitian_exp(parts.total.matrix, dt * steps)
         accumulated = np.linalg.matrix_power(split, steps)
         total_err = spectral_norm(exact - accumulated)
-        assert total_err <= steps * splitting_error(h, RING4, dt) * (1 + 1e-6)
+        (err,) = splitting_error(h, RING4, [dt])
+        assert total_err <= steps * err * (1 + 1e-6)
 
     @pytest.mark.parametrize("cells", [4, 8])
     @pytest.mark.parametrize("make", [exchange_coupling, lambda: random_coupling(2, 23)])
@@ -161,11 +163,12 @@ class TestSplittingError:
         # eigendecomposition
         h, ring = make(), RingSpace(cells, 2)
         parts = build_global_hamiltonian(h, ring)
-        for dt in (0.1, 0.025):
+        dts = (0.1, 0.025)
+        for dt, err in zip(dts, splitting_error(h, ring, dts)):
             exact = hermitian_exp(parts.total.matrix, dt)
             split = hermitian_exp(parts.odd.matrix, dt) @ hermitian_exp(parts.even.matrix, dt)
             expected = spectral_norm(exact - split)
-            assert splitting_error(h, ring, dt) == pytest.approx(expected, rel=1e-13)
+            assert err == pytest.approx(expected, rel=1e-13)
 
     def test_one_full_size_eigendecomposition(self, monkeypatch):
         ring = RingSpace(6, 2)
@@ -177,24 +180,38 @@ class TestSplittingError:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        splitting_error(random_coupling(2, 3), ring, 0.1)
+        splitting_error(random_coupling(2, 3), ring, [0.1])
         assert sorted(sizes) == [4, ring.dim]
+        sizes.clear()
+        # one 4x4 decomposition per dt for its scattering unitary, and one
+        # of H shared by all three
+        splitting_error(random_coupling(2, 3), ring, [0.1, 0.05, 0.025])
+        assert sorted(sizes) == [4, 4, 4, ring.dim]
+
+    @pytest.mark.parametrize("make", [exchange_coupling, lambda: random_coupling(2, 29)])
+    def test_each_error_is_the_one_dt_float(self, make):
+        h, ring = make(), RingSpace(6, 2)
+        dts = [0.3, 0.1, 0.025, 0.1]
+        assert splitting_error(h, ring, dts) == [splitting_error(h, ring, [dt])[0] for dt in dts]
+        assert splitting_error(h, ring, []) == []
 
     def test_bits_and_peak_at_eight_cells(self):
         # H is summed alone, in the interleaved order of
         # build_global_hamiltonian, so the value is the same float as when
         # the even and odd sums were built alongside it
         ring = RingSpace(8, 2)
-        tracemalloc.start()
-        try:
-            err = splitting_error(random_coupling(2, 1), ring, 0.2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert err == 0.4402249728678763
-        # H and hermitian_exp's three full-size arrays; with the unused
-        # even and odd sums the peak was 5.4 of them
-        assert peak < 4.5 * ring.dim**2 * 16
+        for dts in ([0.2], [0.1, 0.2, 0.05]):
+            tracemalloc.start()
+            try:
+                errs = splitting_error(random_coupling(2, 1), ring, dts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert errs[dts.index(0.2)] == 0.4402249728678763
+            # H and hermitian_exp's three full-size arrays; with the unused
+            # even and odd sums the peak was 5.4 of them. Across dts only
+            # the eigenvectors are kept, so more dts raise no peak.
+            assert peak < 4.5 * ring.dim**2 * 16
 
 
 class TestCrosscheck:
