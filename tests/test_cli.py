@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qcalab import cli
+from qcalab import cli, gformat
 from qcalab.cli import main
 from qcalab.dirac import WalkField, gaussian_field, walk_step
 from qcalab.pqca import ScatteringUnitary, save_unitary
@@ -107,7 +108,7 @@ def reference_walk_csv(mass, eps, steps, field, digits):
 
 
 class TestWalkCsvBytes:
-    @pytest.mark.parametrize("digits", [3, 6, 17])
+    @pytest.mark.parametrize("digits", [1, 2, 3, 6, 9, 15, 16, 17])
     @pytest.mark.parametrize(
         "init, field",
         [
@@ -149,6 +150,32 @@ class TestWalkCsvBytes:
         assert code == 0
         assert out == reference_walk_csv(0.7, 0.15, 12, gaussian_field(48, 20.5, 3.0, 2, "plus"), 17)
 
+    @pytest.mark.parametrize("grid", [2, 64, 1022, 1024, 1026, 2500])
+    def test_grids_against_the_block(self, capsys, grid):
+        # smaller than a block of _CSV_ROWS = 1024 rows, equal to it, and not a
+        # multiple of it (runs of _TEXT_ROWS rows cut every block)
+        assert (cli._CSV_ROWS, cli._TEXT_ROWS) == (1024, 32)
+        code, out, _ = run_cli(
+            ["walk", "--mass", "0.7", "--epsilon", "0.05", "--steps", "2", "--grid", str(grid),
+             "--init", f"gauss:{grid / 3}:{grid / 10}:3"],
+            capsys,
+        )
+        assert code == 0
+        assert out == reference_walk_csv(0.7, 0.05, 2, gaussian_field(grid, grid / 3, grid / 10, 3, "plus"), 17)
+
+    @pytest.mark.parametrize("rows, text_rows", [(16, 5), (16, 16), (7, 32)])
+    @pytest.mark.parametrize("grid", [10, 16, 40])
+    def test_small_blocks_and_runs(self, capsys, monkeypatch, rows, text_rows, grid):
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+        monkeypatch.setattr(cli, "_TEXT_ROWS", text_rows)
+        code, out, _ = run_cli(
+            ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "5", "--grid", str(grid),
+             "--init", "delta:3"],
+            capsys,
+        )
+        assert code == 0
+        assert out == reference_walk_csv(0.7, 0.15, 5, WalkField(np.eye(grid)[3], np.zeros(grid)), 17)
+
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         argv = ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",
                 "--init", "gauss:20.5:3:2"]
@@ -157,6 +184,44 @@ class TestWalkCsvBytes:
         path = tmp_path / "walk.csv"
         assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
         assert path.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.parametrize("digits", [2, 17])
+    def test_dash_out_matches_file_out(self, capsys, tmp_path, digits):
+        argv = ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "1100",
+                "--init", "gauss:500:40:9:minus", "--digits", str(digits)]
+        code, out, err = run_cli(argv + ["--out", "-"], capsys)
+        assert (code, err) == (0, "")
+        path = tmp_path / "walk.csv"
+        assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.parametrize("digits", [3, 15, 17])
+    def test_every_value_through_python(self, capsys, monkeypatch, digits):
+        # a certified window over 1/2 leaves every value to Python's own %,
+        # as a long double no wider than binary64 does from 16 digits up
+        argv = ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "12", "--grid", "48",
+                "--init", "gauss:20.5:3:2", "--digits", str(digits)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        scales, bounds = gformat._scales()
+        monkeypatch.setattr(gformat, "_scales", lambda: (scales, np.ones_like(bounds)))
+        assert run_cli(argv, capsys) == (0, out, "")
+        assert out == reference_walk_csv(0.7, 0.15, 12, gaussian_field(48, 20.5, 3.0, 2, "plus"), digits)
+
+    def test_traced_peak_does_not_grow_with_steps(self, tmp_path):
+        def peak(steps):
+            argv = ["walk", "--grid", "512", "--steps", str(steps), "--mass", "0.8", "--epsilon", "0.11",
+                    "--init", "gauss:250.5:9.3:7:plus", "--out", str(tmp_path / "walk.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # tables, parser and caches built outside the measured runs
+        short, long = peak(50), peak(400)
+        assert long <= 1.1 * short, (short, long)
 
 
 class TestConvergeCommand:
