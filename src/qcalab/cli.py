@@ -18,7 +18,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -199,10 +198,10 @@ def _check_grid(grid: int):
 
 def _probabilities(pp: np.ndarray, pm: np.ndarray) -> np.ndarray:
     """Python's `abs(plus) ** 2 + abs(minus) ** 2` per site, bit for bit:
-    np.hypot is the modulus of a complex and `pow` the libm power that `**`
-    calls; numpy's own squares differ from it in the last bit."""
-    squares = [list(map(pow, np.hypot(a.real, a.imag).tolist(), repeat(2.0))) for a in (pp, pm)]
-    return np.add(*squares)
+    np.hypot is the modulus of a complex and np.float_power calls the libm
+    `pow` that `**` calls; np.square and np.power differ from it in the
+    last bit."""
+    return np.add(*(np.float_power(np.hypot(a.real, a.imag), 2.0) for a in (pp, pm)))
 
 
 def _walk_to_wire_state(f: WalkField) -> SparseState:

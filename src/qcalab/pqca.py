@@ -29,10 +29,13 @@ The stepper computes exactly that sequence on arrays:
   blocks, first block most significant, which is generation order. A
   chunk of branches is formed from its numbers by index arithmetic.
 - Canonical key: a configuration is its blocks' non-empty (anchor, row)
-  pairs by ascending anchor. A trie (`_Trie`) interns these sequences as
-  int64 nodes, so equal configurations get equal keys whichever term,
-  block level (an empty block output shifts the rest) or chunk they come
-  from.
+  pairs by ascending anchor. The pairs are cut into groups of g by their
+  position in that sequence, not by block level (an empty block output
+  shifts the rest), each group one int64 code. A trie (`_Trie`) interns
+  the sequences of codes as int64 nodes, so equal configurations get
+  equal keys whichever term or chunk they come from. g is as large as
+  int64 keys allow, up to the step's block depth, so most chunks are
+  keyed in one intern call.
 - Real-part product: amplitudes are multiplied on float64 parts as
   `(ar*br - ai*bi, ar*bi + ai*br)`, running amplitude first, which is
   Python's complex product; numpy's complex `*` differs from it in the
@@ -125,8 +128,9 @@ class Pqca:
 
 # Branches are formed and keyed in chunks of at least this many, in
 # generation order, so a chunk's temporaries stay small. A step takes at
-# most _CHUNKS chunks: each chunk's new keys are inserted into the trie's
-# sorted table, a copy of the whole table.
+# most _CHUNKS chunks: each intern call inserts its new keys into the
+# trie's sorted table, a copy of the whole table, and a chunk makes one
+# call per group of pairs (one when the group size reaches the depth).
 _CHUNK = 1 << 12
 _CHUNKS = 64
 
@@ -206,26 +210,46 @@ def _row_ids(*columns: np.ndarray):
     return ids, order[head]
 
 
+def _group_size(pair_radix: int, total: int, depth: int) -> int:
+    """How many (anchor, row) pairs one trie code holds: the largest
+    k <= depth for which `total` branches of up to `depth` pairs, in
+    ceil(depth / k) codes each, key in int64; 1 when none does, and then
+    `_Trie` refuses. Every pair code is below `pair_radix` >= 2, so no k
+    above 62 fits."""
+    fits = (
+        k
+        for k in range(1, min(depth, 62) + 1)
+        if (total * -(-depth // k) + 1) * pair_radix**k < 2**63
+    )
+    return max(fits, default=1)
+
+
 class _Trie:
     """Canonical int64 keys for sequences of (anchor, row) pairs, each pair
-    coded as anchor id * block_dim + row with row > 0.
+    coded as anchor id * block_dim + row with row > 0, below `pair_radix`.
 
-    Node 0 is the empty sequence; `intern(parent, pair)` gives the node of
-    sequence `parent` followed by `pair`, the same node whichever term,
-    block level or chunk asks for it.
+    The pairs go `group` at a time into one code, first pair most
+    significant, `code * pair_radix + pair`; only a sequence's last group
+    may hold fewer. No pair is 0, so a code's leading digit tells how many
+    pairs it holds, and a short group needs no padding. Node 0 is the empty
+    sequence; `intern(parent, code)` gives the node of sequence `parent`
+    followed by the group `code`, the same node whichever term or chunk
+    asks for it.
     """
 
-    def __init__(self, radix: int, max_nodes: int):
-        if max_nodes * radix >= 2**63:
+    def __init__(self, pair_radix: int, group: int, max_nodes: int):
+        self.pair_radix = pair_radix
+        self.group = group
+        self.radix = pair_radix**group
+        if max_nodes * self.radix >= 2**63:
             raise OverflowError("too many branches to key in int64")
-        self.radix = radix
-        self.keys = np.empty(0, dtype=np.int64)  # sorted parent * radix + pair
+        self.keys = np.empty(0, dtype=np.int64)  # sorted parent * radix + code
         self.nodes = np.empty(0, dtype=np.int64)  # the node of each key
         self.count = 1
 
-    def intern(self, parent: np.ndarray, pair: np.ndarray) -> np.ndarray:
-        values = parent * self.radix + pair
-        order = np.argsort(values, kind="stable")
+    def intern(self, parent: np.ndarray, code: np.ndarray) -> np.ndarray:
+        values = parent * self.radix + code
+        order = np.argsort(values)  # equal values are runs in any sorted order
         head = np.ones(len(values), dtype=bool)
         head[1:] = values[order[1:]] != values[order[:-1]]
         distinct = values[order[head]]
@@ -244,12 +268,16 @@ class _Trie:
 
     def unfold(self, node: np.ndarray) -> list:
         """The pairs of each node's sequence, last first: one array per
-        position, 0 where a sequence has run out."""
+        position, `group` per code, 0 above a short code's first pair and
+        where a sequence has run out."""
         key = np.zeros(self.count, dtype=np.int64)
         key[self.nodes] = self.keys
         pairs = []
         while node.any():
-            pairs.append(key[node] % self.radix)
+            code = key[node] % self.radix
+            for _ in range(self.group):
+                code, pair = np.divmod(code, self.pair_radix)
+                pairs.append(pair)
             node = key[node] // self.radix
         return pairs
 
@@ -421,7 +449,9 @@ class _Stepper:
         branches are formed and summed a chunk at a time, in generation
         order."""
         branches = _Branches(self, state, parity)
-        trie = _Trie(len(branches.anchors) * self.block_dim, branches.total * branches.depth + 1)
+        pair_radix = len(branches.anchors) * self.block_dim
+        group = _group_size(pair_radix, branches.total, branches.depth)
+        trie = _Trie(pair_radix, group, branches.total * -(-branches.depth // group) + 1)
         sums = _KahanSums(branches.total)
         chunk = max(_CHUNK, -(-branches.total // _CHUNKS))
         for lo in range(0, branches.total, chunk):
@@ -436,20 +466,33 @@ class _Stepper:
         A branch's amplitude a * c0 * c1 * ... keeps the running amplitude
         first and is written out on real parts, as Python's complex product
         is. Its key folds its non-empty (anchor, row) pairs, by ascending
-        anchor, into a trie node: equal configurations, equal keys.
+        anchor, into group codes and those into a trie node: equal
+        configurations, equal keys. A full group, a code of `group` digits,
+        is interned when the branch's next pair comes, and the rest after
+        the last level, so a chunk whose branches hold at most one group
+        makes one intern call.
         """
         t, levels = branches.levels(lo, hi)
         key = np.zeros(len(t), dtype=np.int64)
+        code = np.zeros(len(t), dtype=np.int64)
         ar, ai = amp.real[t], amp.imag[t]
-        for active, b, frag in levels:
+        for level, (active, b, frag) in enumerate(levels):
             cr, ci = self.coef_re[frag], self.coef_im[frag]
             ar, ai = (
                 np.where(active, ar * cr - ai * ci, ar),
                 np.where(active, ar * ci + ai * cr, ai),
             )
             row = self.frag_row[frag]
-            grow = np.flatnonzero(active & (row != 0))
-            key[grow] = trie.intern(key[grow], branches.anchor[b[grow]] * self.block_dim + row[grow])
+            grow = active & (row != 0)
+            if level >= trie.group:
+                full = np.flatnonzero(grow & (code >= trie.radix // trie.pair_radix))
+                if len(full):
+                    key[full] = trie.intern(key[full], code[full])
+                    code[full] = 0
+            code = np.where(grow, code * trie.pair_radix + branches.anchor[b] * self.block_dim + row, code)
+        rest = np.flatnonzero(code)
+        if len(rest):
+            key[rest] = trie.intern(key[rest], code[rest])
         z = np.empty(len(t), dtype=np.complex128)
         z.real, z.imag = ar, ai
         return key, z

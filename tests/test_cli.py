@@ -224,6 +224,55 @@ class TestWalkCsvBytes:
         assert long <= 1.1 * short, (short, long)
 
 
+class TestProbabilities:
+    """The walk CSV's probability column is Python's `abs(p) ** 2 + abs(m) ** 2`
+    per site, bit for bit."""
+
+    @staticmethod
+    def square(z: complex) -> float:
+        # Python raises where libm's pow overflows a finite modulus to inf
+        try:
+            return abs(complex(z)) ** 2
+        except OverflowError:
+            return math.inf
+
+    def assert_python_bits(self, pp: np.ndarray, pm: np.ndarray):
+        python = np.array([self.square(p) + self.square(m) for p, m in zip(pp, pm)])
+        assert cli._probabilities(pp, pm).tobytes() == python.tobytes()
+
+    def test_where_pow_and_the_product_differ(self):
+        rng = np.random.default_rng(21)
+        h = rng.uniform(0.0, 1.0, size=200_000) * np.exp(rng.uniform(-30, 30, size=200_000))
+        differ = h[np.array([pow(x, 2.0) for x in h.tolist()]) != h * h]
+        assert len(differ) > 20
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(differ)))
+        self.assert_python_bits(differ * phase, np.zeros(len(differ), dtype=complex))
+        self.assert_python_bits(differ[::-1] * phase, differ * phase.conj())
+
+    def test_random_values(self):
+        rng = np.random.default_rng(22)
+        z = rng.normal(size=(2, 20000)) + 1j * rng.normal(size=(2, 20000))
+        self.assert_python_bits(*(z * np.exp(rng.uniform(-40, 40, size=(2, 20000)))))
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # signed zeros, subnormals, tiny squares, huge ones and overflows
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -1e-170, 1.0, 1e154, 1e200, -1.7976931348623157e308,
+             math.inf, -math.inf],
+            # NaN apart from overflows: CPython leaves errno set after an
+            # OverflowError, and abs of a complex with a NaN part then raises
+            [0.0, -0.0, 5e-324, 1e-160, -1.0, 1e150, math.inf, -math.inf, math.nan],
+        ],
+        ids=["overflow", "nan"],
+    )
+    def test_extremes(self, parts):
+        pp = np.array([complex(a, b) for a in parts for b in parts])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_python_bits(pp, np.roll(pp, 7))
+            self.assert_python_bits(pp, np.zeros(len(pp), dtype=complex))
+
+
 class TestConvergeCommand:
     def test_csv_and_fitted_order(self, capsys):
         code, out, err = run_cli(["converge"], capsys)

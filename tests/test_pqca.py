@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcalab import pqca
 from qcalab.dirac import dirac_scattering_unitary
 from qcalab.operators import translation_operator, unitarity_defect
 from qcalab.pqca import (
@@ -415,6 +416,119 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert len(out) == 24**3
         assert peak <= self.DICT_STEPPER_PEAK
+
+
+def collision_case():
+    cells = tuple(((x,), 1) for x in (10, 12, 14, 16))
+    return SparseState(QUBIT, 1, {Configuration(1, cells): 1.0}), Pqca(dirac_scattering_unitary(2.5, 0.3)), 8
+
+
+def two_dimensional_case():
+    terms = {
+        Configuration(2, {(0, 5): 1, (1, 0): 1, (-3, 2): 1}): complex(0.6, 0.1),
+        Configuration(2, {(1, 2): 1}): complex(-0.3, 0.5),
+    }
+    return SparseState(QUBIT, 2, terms), Pqca(sector_unitary(2, 2, 5)), 3
+
+
+def creation_case():
+    rng = np.random.default_rng(5)
+    terms = {Configuration(1, {}): complex(-0.0, 0.3)}
+    for _ in range(5):
+        cells = {(int(c),): 1 for c in rng.integers(-4, 6, size=rng.integers(1, 4))}
+        terms[Configuration(1, cells)] = complex(rng.normal(), rng.normal())
+    return SparseState(QUBIT, 1, terms), Pqca(quiescence_preserving_unitary(2)), 2
+
+
+def emptied_case():
+    s = SparseState(QUBIT, 1, {Configuration(1, {(1,): 1, (3,): 1, (9,): 1}): 1.0})
+    return s, Pqca(emptying_unitary(1e-11)), 4
+
+
+def separated_case():
+    cells = tuple(((x,), 1) for x in (0, 40, 80))
+    return SparseState(QUBIT, 1, {Configuration(1, cells): 1.0}), Pqca(dirac_scattering_unitary(2.5, 0.3)), 12
+
+
+def count_interns(monkeypatch) -> list:
+    """The entry count of every `_Trie.intern` call from here on, in order."""
+    calls = []
+    intern = pqca._Trie.intern
+
+    def counted(self, parent, code):
+        calls.append(len(parent))
+        return intern(self, parent, code)
+
+    monkeypatch.setattr(pqca._Trie, "intern", counted)
+    return calls
+
+
+class TestGroupSize:
+    """Trie codes hold `_group_size` pairs each. Any group size keys equal
+    configurations alike, so forcing one pair per code or two changes no
+    term, no order and no bit. Both intern full groups in mid-sequence,
+    which the derived size leaves out on these steps; the emptied blocks
+    would split keys if groups were cut by block level."""
+
+    @pytest.mark.parametrize("case", [collision_case, two_dimensional_case, creation_case, emptied_case])
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_forced_sizes_give_the_same_terms(self, monkeypatch, case, group):
+        state, pq, steps = case()
+        calls = count_interns(monkeypatch)
+        derived = pqca_evolve(state, pq, steps)
+        derived_calls = len(calls)
+        depths = []
+
+        def forced(pair_radix, total, depth):
+            depths.append(depth)
+            return group
+
+        monkeypatch.setattr(pqca, "_group_size", forced)
+        assert term_bytes(pqca_evolve(state, pq, steps)) == term_bytes(derived)
+        assert max(depths) > group
+        forced_calls = len(calls) - derived_calls
+        assert forced_calls > derived_calls
+
+    def test_one_intern_call_per_chunk(self, monkeypatch):
+        # in the style of test_full_size_products: with a group size at or
+        # above the depth, a chunk interns once if it holds a non-empty
+        # branch and never otherwise
+        monkeypatch.setattr(pqca, "_CHUNK", 1)
+        calls = count_interns(monkeypatch)
+        sizes, chunks = [], []
+        group_size, chunk = pqca._group_size, pqca._Stepper._chunk
+
+        def sized(pair_radix, total, depth):
+            sizes.append((group_size(pair_radix, total, depth), depth))
+            return sizes[-1][0]
+
+        def counted(self, amp, branches, trie, lo, hi):
+            before = len(calls)
+            key, z = chunk(self, amp, branches, trie, lo, hi)
+            chunks.append((len(calls) - before, bool(key.any())))
+            return key, z
+
+        monkeypatch.setattr(pqca, "_group_size", sized)
+        monkeypatch.setattr(pqca._Stepper, "_chunk", counted)
+        for case in (separated_case, collision_case, creation_case, emptied_case):
+            pqca_evolve(*case())
+        assert all(g >= depth for g, depth in sizes)
+        assert len(chunks) > 2 * len(sizes)
+        assert {nonempty for _, nonempty in chunks} == {False, True}
+        assert all(n == nonempty for n, nonempty in chunks)
+
+    def test_group_size_from_the_step(self):
+        # the largest k <= depth with (total * ceil(depth / k) + 1) * R**k < 2**63
+        assert pqca._group_size(4000, 10**5, 3) == 3
+        assert pqca._group_size(4000, 10**5, 9) == 3
+        assert pqca._group_size(2**20, 10**5, 9) == 2
+        assert pqca._group_size(2**20, 2**40, 9) == 1
+        assert pqca._group_size(8, 1, 100) == 20
+        assert pqca._group_size(8, 1, 0) == 1
+
+    def test_unkeyable_step_refused(self):
+        with pytest.raises(OverflowError, match="too many branches"):
+            pqca._Trie(2**40, pqca._group_size(2**40, 2**30, 4), 2**30 * 4 + 1)
 
 
 class TestPqcaStepTwoDimensions:
