@@ -91,8 +91,6 @@ class UsageError(Exception):
 
 
 def _fmt(value: float, digits: int) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.{digits}g}"
 
 

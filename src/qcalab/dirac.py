@@ -54,8 +54,8 @@ class WalkField:
 
     def normalized(self) -> "WalkField":
         n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero field")
+        if not 0 < n < math.inf:  # also refuses nan
+            raise ValueError(f"cannot normalize a field of norm {n}")
         return WalkField(self.psi_plus / n, self.psi_minus / n)
 
     def copy(self) -> "WalkField":

@@ -35,16 +35,18 @@ The stepper computes exactly that sequence on arrays:
   the sequences of codes as int64 nodes, so equal configurations get
   equal keys whichever term or chunk they come from. g is as large as
   int64 keys allow, up to the step's block depth, so most chunks are
-  keyed in one intern call.
+  keyed in one intern call. Keys are only compared, never decoded: each
+  output's cells are built from the pairs of its first branch.
 - Real-part product: amplitudes are multiplied on float64 parts as
   `(ar*br - ai*bi, ar*bi + ai*br)`, running amplitude first, which is
   Python's complex product; numpy's complex `*` differs from it in the
   last bit for about half of random operands.
-- Rank-level Kahan: a chunk's branches are sorted stably by key, and level
-  r updates every key's r-th branch at once. Chunks come in generation
-  order, so each sum meets its branches in the sequential order and does
-  the same IEEE operations; complex + and - act on each part alone, in
-  numpy as in Python.
+- Run-level Kahan: a chunk's branches are sorted stably by key, so each
+  node's branches form a run in generation order, and level r updates the
+  r-th branch of every run longer than r at once. Chunks come in
+  generation order, so each sum meets its branches in the sequential
+  order and does the same IEEE operations; complex + and - act on each
+  part alone, in numpy as in Python.
 - hypot pruning: Python's abs of a complex is hypot, and `np.hypot` gives
   the same bits where `np.abs` does not always.
 """
@@ -225,16 +227,15 @@ def _group_size(pair_radix: int, total: int, depth: int) -> int:
 
 
 class _Trie:
-    """Canonical int64 keys for sequences of (anchor, row) pairs, each pair
-    coded as anchor id * block_dim + row with row > 0, below `pair_radix`.
+    """An intern table of int64 keys for sequences of (anchor, row) pairs;
+    `_Stepper._chunk` codes each pair as anchor id * block_dim + row with
+    row > 0, below `pair_radix`, and `group` pairs into one code, first
+    pair most significant, `code * pair_radix + pair`.
 
-    The pairs go `group` at a time into one code, first pair most
-    significant, `code * pair_radix + pair`; only a sequence's last group
-    may hold fewer. No pair is 0, so a code's leading digit tells how many
-    pairs it holds, and a short group needs no padding. Node 0 is the empty
-    sequence; `intern(parent, code)` gives the node of sequence `parent`
-    followed by the group `code`, the same node whichever term or chunk
-    asks for it.
+    Node 0 is the empty sequence; `intern(parent, code)` gives the node of
+    sequence `parent` followed by the group `code`, the same node whichever
+    term or chunk asks for it. No pair is 0, so a code's leading digit
+    tells how many pairs it holds and a short last group needs no padding.
     """
 
     def __init__(self, pair_radix: int, group: int, max_nodes: int):
@@ -265,21 +266,6 @@ class _Trie:
         self.nodes = np.insert(self.nodes, at[fresh], node[fresh])
         values[order] = node[np.cumsum(head) - 1]
         return values
-
-    def unfold(self, node: np.ndarray) -> list:
-        """The pairs of each node's sequence, last first: one array per
-        position, `group` per code, 0 above a short code's first pair and
-        where a sequence has run out."""
-        key = np.zeros(self.count, dtype=np.int64)
-        key[self.nodes] = self.keys
-        pairs = []
-        while node.any():
-            code = key[node] % self.radix
-            for _ in range(self.group):
-                code, pair = np.divmod(code, self.pair_radix)
-                pairs.append(pair)
-            node = key[node] // self.radix
-        return pairs
 
 
 def _blocks(stepper: "_Stepper", state: _Packed, parity: int):
@@ -357,8 +343,9 @@ class _KahanSums:
     """Kahan-compensated sums per trie node, fed the branches in generation
     order, with each node's first branch.
 
-    A chunk's branches join their nodes' sums in rank levels: level r holds
-    each node's r-th branch in the chunk, so every sum sees the IEEE
+    A chunk's branches, sorted stably by node, form one run per node in
+    generation order. They join their nodes' sums in levels: level r holds
+    the r-th branch of every run longer than r, so every sum sees the IEEE
     operations `y = a - comp; t = s + y; comp = (t - s) - y` of the
     sequential loop in the same order. Complex + and - act on real and
     imaginary parts apart, as Python's do.
@@ -381,31 +368,29 @@ class _KahanSums:
         key = key[order]
         head = np.ones(len(key), dtype=bool)
         head[1:] = key[1:] != key[:-1]
-        heads = np.flatnonzero(head)
+        at = np.flatnonzero(head)
+        run = np.diff(at, append=len(key))
         # chunks come in generation order: a node's first chunk holds its first branch
-        unseen = self.first[key[heads]] == self.total
-        self.first[key[heads][unseen]] = lo + order[heads][unseen]
-        rank = np.arange(len(key)) - heads[np.cumsum(head) - 1]
-        by_rank = np.argsort(rank, kind="stable")
-        end = 0
-        for size in np.bincount(rank).tolist():
-            at = by_rank[end : end + size]
-            end += size
+        unseen = self.first[key[at]] == self.total
+        self.first[key[at][unseen]] = lo + order[at][unseen]
+        while len(at):
             node = key[at]
             y = z[order[at]] - self.comps[node]
             old = self.sums[node]
             new = old + y
             self.comps[node] = (new - old) - y
             self.sums[node] = new
+            more = run > 1
+            at, run = at[more] + 1, run[more] - 1
 
     def outputs(self):
-        """The nodes with a branch, in order of first branch, and their sums,
-        without sums at or below PRUNE_THRESHOLD. Python's abs of a complex
-        is hypot, and np.hypot gives the same bits."""
+        """The first branch of each node with a branch, ascending, and the
+        node's sum, without sums at or below PRUNE_THRESHOLD. Python's abs
+        of a complex is hypot, and np.hypot gives the same bits."""
         final = np.flatnonzero(self.first < self.total)
-        final = final[np.argsort(self.first[final], kind="stable")]
+        final = final[np.argsort(self.first[final])]  # distinct values
         final = final[np.hypot(self.sums[final].real, self.sums[final].imag) > PRUNE_THRESHOLD]
-        return final, self.sums[final]
+        return self.first[final], self.sums[final]
 
 
 class _Stepper:
@@ -444,10 +429,10 @@ class _Stepper:
 
     def _sum(self, state: _Packed, parity: int):
         """The outputs in order of first occurrence, without those at or
-        below PRUNE_THRESHOLD: the (anchor, row) pairs of each
-        (`_Trie.unfold`), its amplitude, and the anchor points by id. The
-        branches are formed and summed a chunk at a time, in generation
-        order."""
+        below PRUNE_THRESHOLD: per block level, the anchor id and the row
+        (0 for no block) of each output's first branch; its amplitude; and
+        the anchor points by id. The branches are formed and summed a chunk
+        at a time, in generation order."""
         branches = _Branches(self, state, parity)
         pair_radix = len(branches.anchors) * self.block_dim
         group = _group_size(pair_radix, branches.total, branches.depth)
@@ -457,8 +442,14 @@ class _Stepper:
         for lo in range(0, branches.total, chunk):
             key, z = self._chunk(state.amp, branches, trie, lo, min(lo + chunk, branches.total))
             sums.add(lo, key, z, trie.count)
-        nodes, amp = sums.outputs()
-        return trie.unfold(nodes), amp, 2 * branches.anchors + parity
+        first, amp = sums.outputs()
+        del sums, trie  # freed before the pairs are formed, which keeps the step's peak
+        t = np.searchsorted(branches.start, first, "right") - 1
+        pairs = [
+            (branches.anchor[b], np.where(active, self.frag_row[frag], 0))
+            for active, b, frag in branches._fragments(t, first - branches.start[t])
+        ]
+        return pairs, amp, 2 * branches.anchors + parity
 
     def _chunk(self, amp: np.ndarray, branches: _Branches, trie: _Trie, lo: int, hi: int):
         """Keys and amplitudes of branches lo, ..., hi - 1.
@@ -498,27 +489,24 @@ class _Stepper:
         return key, z
 
     def _cells(self, pairs: list, amp: np.ndarray, corners: np.ndarray) -> _Packed:
-        """The packed outputs, each one's cells built from its (anchor, row)
-        pairs (`_Trie.unfold`) and sorted by point."""
+        """The packed outputs, each one's cells built from its (anchor id,
+        row) pairs by ascending anchor and sorted by point."""
         start = np.zeros(len(amp) + 1, dtype=np.int64)
-        for pair in pairs:
-            start[1:] += self.row_cell_count[pair % self.block_dim]
+        for _, row in pairs:
+            start[1:] += self.row_cell_count[row]
         np.cumsum(start, out=start)
         points = np.empty((start[-1], self.dimension), dtype=np.int64)
         symbols = np.empty(start[-1], dtype=np.int64)
-        fill = start[1:].copy()
-        for pair in pairs:
-            # pairs come last first, by descending anchor: each one's cells
-            # go before those already written
-            row = pair % self.block_dim
+        fill = start[:-1].copy()
+        for anchor, row in pairs:
             count = self.row_cell_count[row]
-            fill -= count
             owner = np.repeat(np.arange(len(row)), count)
             within = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
             cell = self.row_cell_start[row[owner]] + within
             at = fill[owner] + within
-            points[at] = corners[pair[owner] // self.block_dim] + self.row_cell_offset[cell]
+            points[at] = corners[anchor[owner]] + self.row_cell_offset[cell]
             symbols[at] = self.row_cell_symbol[cell]
+            fill += count
         if self.dimension > 1:
             owner = np.repeat(np.arange(len(amp)), np.diff(start))
             order = np.lexsort((*points.T[::-1], owner))

@@ -71,6 +71,21 @@ class TestWalkCommand:
         assert out == ""
         assert message in err
 
+    # 4 sigma^2 underflows to 0, so the centre site is 0/0 (numpy warns) and
+    # the norm nan
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_underflowing_gauss_refused_before_any_row(self, capsys, tmp_path):
+        csv = tmp_path / "w.csv"
+        code, out, err = run_cli(
+            ["walk", "--grid", "8", "--steps", "1", "--init", "gauss:4:1e-300", "--out", str(csv)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "parameter error: cannot normalize a field of norm nan" in err
+        assert not csv.exists()
+
     def test_bad_init_is_usage_error(self, capsys):
         code, _, err = run_cli(["walk", "--init", "delta:99", "--grid", "32"], capsys)
         assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcalab.operators import hermitian_exp, hermiticity_defect, spectral_norm, translation_operator
-from qcalab.pqca import check_quiescence, pqca_as_ring_operator
+from qcalab.pqca import check_quiescence, composed_step_operator, pqca_as_ring_operator
 from qcalab.state import RingSpace
 from qcalab.trotter import (
     GlobalHamiltonian,
@@ -197,17 +197,21 @@ class TestSplittingError:
 
     def test_bits_and_peak_at_eight_cells(self):
         # H is summed alone, in the interleaved order of
-        # build_global_hamiltonian, so the value is the same float as when
-        # the even and odd sums were built alongside it
-        ring = RingSpace(8, 2)
+        # build_global_hamiltonian, so the value is the same float as the
+        # reference built from the full sum, under one BLAS thread as under
+        # two; computing it first also warms the process before the peak
+        # is traced
+        h, ring = random_coupling(2, 1), RingSpace(8, 2)
+        exact = hermitian_exp(build_global_hamiltonian(h, ring).total.matrix, 0.2)
+        expected = spectral_norm(exact - composed_step_operator(trotter_pqca(h, 0.2), ring).matrix)
         for dts in ([0.2], [0.1, 0.2, 0.05]):
             tracemalloc.start()
             try:
-                errs = splitting_error(random_coupling(2, 1), ring, dts)
+                errs = splitting_error(h, ring, dts)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert errs[dts.index(0.2)] == 0.4402249728678763
+            assert errs[dts.index(0.2)] == expected
             # H and hermitian_exp's three full-size arrays; with the unused
             # even and odd sums the peak was 5.4 of them. Across dts only
             # the eigenvectors are kept, so more dts raise no peak.
