@@ -42,10 +42,11 @@ from .pqca import (
     pqca_as_ring_operator,
     regroup_pairs,
 )
-from .state import Configuration, RingSpace, SparseState, Alphabet, dump_state
+from .state import MAX_DENSE_DIM, Configuration, RingSpace, SparseState, Alphabet, dump_state
 from .structure import (
     build_localization,
     causality_check,
+    composed_step_causality,
     quiescence_preserving_local,
     signalling_demo,
     single_cell_product,
@@ -176,6 +177,8 @@ def _parse_init(spec: str, grid: int) -> WalkField:
         mode = _init_field(kind, "MODE", int, parts[3]) if len(parts) == 4 else 0
         if sigma <= 0:
             raise UsageError("--init: gauss sigma must be positive")
+        if 4.0 * sigma * sigma == 0.0:
+            raise UsageError(f"--init: gauss sigma {sigma!r} underflows: 4 sigma^2 is 0")
         return gaussian_field(grid, center, sigma, mode, component)
     raise UsageError(
         f"--init: expected delta:SITE[:plus|minus] or gauss:CENTER:SIGMA[:MODE][:plus|minus], got {spec!r}"
@@ -192,6 +195,20 @@ def _check_grid(grid: int):
             f"--grid: {grid} sites exceed the limit of {MAX_GRID}; the walk's arrays "
             f"alone would take {_WALK_ARRAY_BYTES * grid} bytes"
         )
+
+
+def _check_dense(flag: str, base: int, count: int):
+    """A dense study of base**count basis states, refused over MAX_DENSE_DIM
+    with the bytes of one complex128 matrix, before any array is made. The
+    test compares logarithms, so a huge count builds no huge integer."""
+    if count * math.log2(base) <= math.log2(MAX_DENSE_DIM):
+        return
+    bits = 4 + 2 * count * math.log2(base)  # log2 of 16 * dim^2
+    size = f"{2.0**bits:.3g}" if bits < 1000 else f"2^{bits:.0f}"
+    raise UsageError(
+        f"{flag}: dense dimension {base}^{count} exceeds cap {MAX_DENSE_DIM}; "
+        f"one matrix would take {size} bytes"
+    )
 
 
 def _probabilities(pp: np.ndarray, pm: np.ndarray) -> np.ndarray:
@@ -288,6 +305,7 @@ def _run_trotter(cfg: RunConfig) -> int:
     cells = p["cells"]
     if cells < 2 or cells % 2 != 0:
         raise UsageError("--cells: must be an even integer >= 2")
+    _check_dense("--cells", 2, cells)
     dts = p["dt"]
     if any(dt <= 0 for dt in dts):
         raise UsageError("--dt: values must be positive")
@@ -339,6 +357,7 @@ def _run_localize(cfg: RunConfig) -> int:
         raise UsageError("--cells: must be >= 2")
     if p["epsilon"] <= 0:
         raise UsageError("--epsilon: must be positive")
+    _check_dense("--cells", 4, p["cells"])  # the doubled register
     g, nbhd = _localization_instance(
         p["system"], p["cells"], p["mass"], p["epsilon"], cfg.seed
     )
@@ -361,12 +380,17 @@ def _run_localize(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _causality_instance(p: dict):
+def _causality_report(p: dict, nbhd) -> tuple:
+    """The report, with the cell count and local dimension it speaks of."""
     system = p["system"]
     if system == "identity":
-        return identity_operator(RingSpace(p["cells"], 2)), True
+        _check_dense("--cells", 2, p["cells"])
+        g = identity_operator(RingSpace(p["cells"], 2))
+        return causality_check(g, nbhd), p["cells"], 2
     if system == "xor":
-        return xor_lifted(p["length"]), False
+        _check_dense("--length", 3, p["length"])
+        g = xor_lifted(p["length"])
+        return causality_check(g, nbhd, periodic=False), p["length"], 3
     if system not in ("dirac", "file"):
         raise UsageError("--system: must be identity, dirac, xor or file")
     if system == "file" and not p["unitary_file"]:
@@ -377,25 +401,24 @@ def _causality_instance(p: dict):
         u = dirac_scattering_unitary(p["mass"], p["epsilon"])
     else:
         u = _load_unitary_file(p["unitary_file"])
-    ring = RingSpace(p["cells"], u.alphabet_size)
-    return regroup_pairs(composed_step_operator(Pqca(u), ring)), True
+    report = composed_step_causality(Pqca(u), p["cells"], nbhd)
+    return report, p["cells"] // 2, u.alphabet_size**2
 
 
 def _run_causality(cfg: RunConfig) -> int:
     p = cfg.params
     if p["expect"] not in ("pass", "fail"):
         raise UsageError("--expect: must be 'pass' or 'fail'")
-    g, periodic = _causality_instance(p)
     nbhd = p["neighbourhood"]
-    report = causality_check(g, nbhd, periodic=periodic)
+    report, cells, local_dim = _causality_report(p, nbhd)
     lines = [
-        f"causality report: system={p['system']} cells={g.ring.cell_count} "
-        f"local_dim={g.ring.local_dim} neighbourhood={list(nbhd)} periodic={periodic}"
+        f"causality report: system={p['system']} cells={cells} "
+        f"local_dim={local_dim} neighbourhood={list(nbhd)} periodic={report.periodic}"
     ]
-    per_cell: dict = {x: set() for x in range(g.ring.cell_count)}
+    per_cell: dict = {x: set() for x in range(cells)}
     for w in report.witnesses:
         per_cell[w.cell].update(w.support)
-    for x in range(g.ring.cell_count):
+    for x in range(cells):
         if per_cell[x]:
             lines.append(f"cell {x}: offending image support {sorted(per_cell[x])}")
     if report.witnesses:
@@ -544,9 +567,14 @@ def _selftest_localize(seed: int):
 def _selftest_causality(seed: int):
     assert causality_check(identity_operator(RingSpace(4, 2)), (0,)).passed
     yield "identity is causal with trivial neighbourhood"
-    g2, _ = _causality_instance({"system": "dirac", "cells": 8, "mass": 0.5, "epsilon": 0.3})
-    assert causality_check(g2, (-1, 0, 1)).passed, "composed step not causal on supercells"
+    pq = Pqca(dirac_scattering_unitary(0.5, 0.3))
+    assert composed_step_causality(pq, 8, (-1, 0, 1)).passed, "composed step not causal on supercells"
     yield "composed two-phase step causal with supercell neighbourhood {-1,0,1}"
+    g2 = regroup_pairs(composed_step_operator(pq, RingSpace(8, 2)))
+    for nbhd in ((-1, 0, 1), (0,)):
+        window = composed_step_causality(pq, 8, nbhd)
+        assert window == causality_check(g2, nbhd), f"window and dense reports differ for {nbhd}"
+    yield "light-cone window report equals the dense 8-cell ring's"
     rep = causality_check(xor_lifted(4), (-2, -1, 0, 1, 2), periodic=False)
     assert not rep.passed, "lifted xor rule unexpectedly causal"
     yield "lifted xor rule is not causal"

@@ -605,11 +605,22 @@ def pqca_as_ring_operator(pqca: Pqca, ring: RingSpace, phase: str) -> DenseOpera
     return DenseOperator(ring, j)
 
 
-def composed_step_operator(pqca: Pqca, ring: RingSpace) -> DenseOperator:
+def composed_step_operator(pqca: Pqca, ring: RingSpace, *, periodic: bool = True) -> DenseOperator:
     """Dense matrix of one full even-then-odd step on the ring: the odd
-    phase applied to the columns of the even one, with no full-size product."""
+    phase applied to the columns of the even one, with no full-size product.
+
+    With `periodic` false the cells are an open chain (at least 4): the odd
+    phase has no wrap block (N-1, 0), so its blocks (1,2), ..., (N-3,N-2)
+    act on the middle axis of the even matrix's rows and cells 0 and N-1
+    see only the even phase.
+    """
     even = pqca_as_ring_operator(pqca, ring, "even").matrix
-    return DenseOperator(ring, apply_phase(even, pqca, ring, "odd"))
+    if periodic:
+        return DenseOperator(ring, apply_phase(even, pqca, ring, "odd"))
+    d = ring.local_dim
+    inner = pqca_as_ring_operator(pqca, RingSpace(ring.cell_count - 2, d), "even").matrix
+    rows = even.reshape(d, inner.shape[0], -1)
+    return DenseOperator(ring, np.matmul(inner, rows).reshape(even.shape))
 
 
 def regroup_pairs(op: DenseOperator) -> DenseOperator:

@@ -4,23 +4,29 @@ Two centerpieces. First, the localizability construction: extend a causal
 unitary G to act on the right subcells of a doubled-alphabet register, build
 the commuting local update gates K_x = Ghat^dag S_x Ghat (S_x the subcell
 swap at x) and the layered map H = (prod S_x)(prod K_x), and verify
-H E = E G against the subcell-doubling embedding E. The swaps, their
-product and E permute or embed basis states, so they act as index maps of
-the 2N-subcell register (gathers of rows or columns), never as matrix
-products; `subcell_swap` builds one swap as a matrix for inspection and
-tests. Second, the quantized classical counterexample: a bijective, causal,
-XOR-like classical rule whose unitary lifting is *not* causal, demonstrated
-by a one-step signalling protocol between the two ends of a word.
+H E = E G against the subcell-doubling embedding E. Each K_x acts on N+1 of
+the 2N subcells, so it is built, commuted and multiplied as its local
+matrix; the swaps, their product and E permute or embed basis states and
+act as index maps (gathers, transposed views), never as matrix products.
+`subcell_swap` and `extend_to_right_subcells` build a swap and Ghat as
+matrices for inspection and tests. Second, the quantized classical
+counterexample: a bijective, causal, XOR-like classical rule whose unitary
+lifting is *not* causal, demonstrated by a one-step signalling protocol
+between the two ends of a word.
 
 Both rest on the Heisenberg causality check. A QCA is a unitary that is
-causal and translation-invariant; the check uses the second property too:
-when the operator commutes with the ring translation, the images of the
-observables at one cell give the witnesses at every cell.
+causal and translation-invariant; the dense check uses the second property
+too: when the operator commutes with the ring translation, the images of
+the observables at one cell give the witnesses at every cell. A
+partitioned automaton's step is decided from its local rule instead
+(`composed_step_causality`): the images at one supercell touch only the
+blocks of its light cone, a 6-cell window whatever the ring size.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +39,9 @@ from .operators import (
     reduced_density_from_vector,
     support_of,
     trace_distance,
+    unitarity_defect,
 )
+from .pqca import Pqca, composed_step_operator, regroup_pairs
 from .state import RingSpace
 
 # Symbol encoding for the three-letter alphabet {empty, t, f}.
@@ -167,15 +175,34 @@ def _unit_supports(g: DenseOperator, x: int) -> dict:
     return supports
 
 
+def _report(supports: dict, n: int, d: int, neighbourhood, periodic: bool) -> CausalityReport:
+    """The verdict and witnesses from the unit supports at every cell, or
+    from cell 0's alone, shifted by x (mod n) to cell x, when `supports`
+    holds only cell 0's. The allowed set of every cell comes from
+    `neighbourhood` as given."""
+    witnesses = []
+    for x in range(n):
+        allowed = _neighbourhood_cells(x, neighbourhood, n, periodic)
+        for i, j in itertools.product(range(d), repeat=2):
+            unit = min(i, j), max(i, j)
+            if x in supports:
+                supp = supports[x][unit]
+            else:
+                supp = tuple(sorted((c + x) % n for c in supports[0][unit]))
+            if not set(supp) <= allowed:
+                witnesses.append(CausalityWitness(x, (i, j), supp, tuple(sorted(allowed))))
+    return CausalityReport(not witnesses, tuple(witnesses), neighbourhood, periodic)
+
+
 def causality_check(
     g: DenseOperator,
     neighbourhood,
     *,
     periodic: bool = True,
 ) -> CausalityReport:
-    """Heisenberg causality test: for every cell x and every matrix unit A
-    at x, the support of g^dag A g must stay inside x's neighbourhood,
-    supports taken at `SUPPORT_TOL`.
+    """Heisenberg causality test of a dense operator: for every cell x and
+    every matrix unit A at x, the support of g^dag A g must stay inside x's
+    neighbourhood, supports taken at `SUPPORT_TOL`.
 
     `neighbourhood` is either an iterable of integer offsets (wrapped on the
     ring when `periodic`, clipped to the window otherwise) or a dict mapping
@@ -196,7 +223,9 @@ def causality_check(
       invariant only under two-cell shifts, build images at every cell;
     - unitarity: cell 0 comes first, and its images of E_ii sum to g^dag g,
       so a non-unitary g is rejected before any other cell is probed.
-    The allowed set of every cell comes from `neighbourhood` as given.
+    This is the reference check, for any matrix; a partitioned automaton's
+    step on a ring that holds its light cone goes through
+    `composed_step_causality`, which needs no matrix of the ring.
     """
     ring = g.ring
     n, d = ring.cell_count, ring.local_dim
@@ -211,16 +240,54 @@ def causality_check(
     # broken at one cell measures O(1).
     invariant = periodic and _translation_defect(g) <= 1e-3 * SUPPORT_TOL
     supports = {x: _unit_supports(g, x) for x in ((0,) if invariant else range(n))}
-    witnesses = []
-    for x in range(n):
-        allowed = _neighbourhood_cells(x, neighbourhood, n, periodic)
-        for unit in itertools.product(range(d), repeat=2):
-            supp = supports[0 if invariant else x][min(unit), max(unit)]
-            if invariant:
-                supp = tuple(sorted((c + x) % n for c in supp))
-            if not set(supp) <= allowed:
-                witnesses.append(CausalityWitness(x, unit, supp, tuple(sorted(allowed))))
-    return CausalityReport(not witnesses, tuple(witnesses), neighbourhood, periodic)
+    return _report(supports, n, d, neighbourhood, periodic)
+
+
+def composed_step_causality(pqca: Pqca, cells: int, neighbourhood) -> CausalityReport:
+    """Causality of one even-then-odd step of `pqca` on a ring of `cells`
+    raw cells, read on supercells of two cells (`regroup_pairs`), with
+    `neighbourhood` in supercell offsets or as a dict of supercells.
+
+    The image of an observable at supercell c (cells 2c, 2c+1) meets the
+    odd blocks (2c-1, 2c) and (2c+1, 2c+2), then the even blocks from 2c-2
+    to 2c+3: supercells c-1 to c+1. Every other block meets its own adjoint
+    and cancels (Arrighi, Nesme and Werner, JCSS 77, 2011). So once the ring
+    has 3 supercells or more, the images at the centre of the 6-cell open
+    chain (even blocks (0,1), (2,3), (4,5), then odd (1,2), (3,4)) have the
+    supports of the ring's images at any c, window supercell s standing for
+    ring supercell (s + c - 1) mod N: the step commutes with supercell
+    shifts. Supports can differ from the dense ring's only where a
+    commutator norm sits within rounding of `SUPPORT_TOL`. A smaller ring
+    wraps the light cone onto itself and is checked as a dense matrix.
+
+    Unitarity comes from the block: with delta = ||u^dag u - I||_F, which
+    bounds the operator norm, one phase of N/2 blocks has
+    ||E^dag E - I|| <= (1 + delta)^(N/2) - 1 and the step
+    ||V^dag V - I|| <= (1 + delta)^N - 1, about N delta, in operator norm.
+    A ring where that bound exceeds `UNITARITY_TOL` is refused. The dense
+    check takes the Frobenius norm on the whole ring, which grows with the
+    square root of its dimension: a block defect of 1e-11 passes here at 8
+    cells, and the dense 8-cell check refuses it (6.4e-10).
+    """
+    u = pqca.scattering
+    if cells % 2 != 0:
+        raise ValueError(f"ring size {cells} is odd; blocks cannot tile both phases")
+    if cells < 6:
+        g = regroup_pairs(composed_step_operator(pqca, RingSpace(cells, u.alphabet_size)))
+        return causality_check(g, neighbourhood)
+    bound = math.expm1(cells * math.log1p(unitarity_defect(u.matrix)))
+    if bound > UNITARITY_TOL:
+        raise ValueError(
+            f"operator is not unitary: defect bound {bound:.3e} for {cells} cells"
+        )
+    chain = RingSpace(6, u.alphabet_size)
+    window = regroup_pairs(composed_step_operator(pqca, chain, periodic=False))
+    n = cells // 2
+    centre = {
+        unit: tuple(sorted((s - 1) % n for s in supp))
+        for unit, supp in _unit_supports(window, 1).items()
+    }
+    return _report({0: centre}, n, window.ring.local_dim, neighbourhood, True)
 
 
 def doubled_ring(ring: RingSpace) -> RingSpace:
@@ -254,9 +321,15 @@ def subcell_swap(ring: RingSpace, cell: int) -> DenseOperator:
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Output of the layered-circuit construction for one causal unitary."""
+    """Output of the layered-circuit construction for one causal unitary.
 
-    k_ops: tuple = field(repr=False)
+    `gates[x]` is the update gate K_x as (subcells, k_x): its local matrix
+    on those subcells of the 2N-subcell register, left subcell 2x first,
+    then the right subcells 1, 3, ..., 2N-1. `op_at` on RingSpace(2N, d)
+    places it; that register's basis is the doubled ring's.
+    """
+
+    gates: tuple = field(repr=False)
     k_supports: tuple
     allowed: tuple
     h: DenseOperator = field(repr=False)
@@ -268,17 +341,27 @@ class LocalizationResult:
         return all(set(s) <= set(a) for s, a in zip(self.k_supports, self.allowed))
 
 
-def _swap_map(index: np.ndarray, cells) -> np.ndarray:
-    """Index map of the subcell swaps at `cells`: basis state i goes to
-    map[i]. `index` holds the doubled register's basis numbers on its 2N
-    subcell axes, the left subcell of cell x on axis 2x. A product of swaps
-    is an involution, so for its matrix S the same map gives both
-    A S = A[:, map] and S A = A[map].
-    """
-    axes = list(range(index.ndim))
-    for x in cells:
-        axes[2 * x], axes[2 * x + 1] = axes[2 * x + 1], axes[2 * x]
-    return index.transpose(axes).reshape(-1)
+def _times_gates(prod: np.ndarray, gates, n_sub: int, d: int) -> tuple:
+    """prod K_1 K_2 ... for gates (subcells, k) on a register of n_sub
+    subcells of d levels. Each k acts on the column axes of its subcells:
+    those axes are moved last, and the rows times the other axes multiply
+    k, in O(rows * cols * d^k) work for k subcells. Each move is a copy
+    between `prod`, which is overwritten, and one spare array, and the last
+    is left undone. Returns the product as a tensor with one axis per row
+    subcell, then one per column subcell, and the column subcells in axis
+    order."""
+    rows = prod.shape[0]
+    order = list(range(n_sub))
+    spare = np.empty_like(prod)
+    for cells, k in gates:
+        new = [s for s in order if s not in cells] + list(cells)
+        moved = prod.reshape([rows] + [d] * n_sub).transpose(
+            [0] + [1 + order.index(s) for s in new]
+        )
+        np.copyto(spare.reshape(moved.shape), moved)
+        np.matmul(spare.reshape(-1, len(k)), k, out=prod.reshape(-1, len(k)))
+        order = new
+    return prod.reshape([d] * (2 * n_sub)), order
 
 
 def build_localization(
@@ -288,17 +371,35 @@ def build_localization(
     periodic: bool = True,
 ) -> LocalizationResult:
     """Construct the update gates K_x = Ghat^dag S_x Ghat, their supports,
-    the layered map H = (prod S_x)(prod K_x) and the defect ||H E - E G||.
+    the layered map H = (prod S_x)(prod K_x) and the defect ||H E - E G||,
+    with no matrix product of the doubled register's size.
 
-    The subcell swaps S_x, their product and the embedding E are 0/1
-    matrices, used here as index maps of the doubled register and never
-    built: Ghat^dag S_x is a column gather of Ghat^dag, (prod S_x) M a row
-    gather of M, H E a column gather of H, and E G is G on the rows E maps
-    to. A gather gives the entries the 0/1 product would, equal up to the
-    sign of a zero, and the gate product starts from K_0 where I K_0 gives
-    the same values; so K_x, H and the three defects equal those of the
-    dense products (Ghat^dag S_x) Ghat, (Ghat^dag prod S_x) Ghat,
-    (prod S_x)(prod K_x) and H E - E G.
+    On the 2N-subcell register (subcell 2x the left and 2x+1 the right
+    subcell of cell x) Ghat is g on the right subcells and S_x touches
+    subcells 2x and 2x+1, so K_x acts on subcell 2x and the N right
+    subcells alone. Its local matrix k_x = (I (x) g)^dag[:, swap] (I (x) g)
+    is built on those N+1 subcells, the swap of the first and the (x+2)-th
+    a column gather (an involution, so its index map is its own inverse);
+    the dense K_x is made, by `op_at`, only to take its support.
+    - Commutation residual: max over a < b of ||K_a K_b - K_b K_a||_F, the
+      commutator taken on the N+2 subcells where the two act (2a, 2b and
+      the right subcells). On the other N-2 left subcells it is the
+      identity, which multiplies its norm by sqrt(d^(N-2)).
+    - Gate product: the dense K_0 times K_1, ..., K_{N-1}, each applied
+      to the column axes it acts on (`_times_gates`), so at most two
+      arrays of the doubled register's size are alive at a time.
+    - Product defect: in (left, right) subcell order Ghat^dag (prod S_x)
+      Ghat = (g (x) g^dag) SWAP, SWAP exchanging the two halves, so its
+      entry ((l, r), (l', r')) is g[l, r'] conj(g[l', r]). It is compared
+      with the gate product through a transposed view, and Ghat is never
+      formed.
+    - H is the gate product with its row subcells swapped pairwise, H E its
+      columns whose left subcells are all empty, and E G is G on those
+      rows.
+    Each gate entry sums the same nonzero terms as the dense product
+    (Ghat^dag S_x) Ghat; for d = 2 the gates come out equal bit for bit
+    (tested), for d = 3 within an ulp. H and the three defects agree with
+    the dense construction to rounding (within 1e-13, tested).
 
     Refuses unitaries that fail the causality check for the claimed
     neighbourhood: conjugating the subcell swap by a non-causal operator
@@ -315,43 +416,55 @@ def build_localization(
             f"outside {w.allowed}"
         )
     ring = g.ring
-    n = ring.cell_count
-    ghat = extend_to_right_subcells(g)
-    ghat_d = ghat.matrix.conj().T
-    index = np.arange(ghat.dim).reshape([ring.local_dim] * (2 * n))
-    k_ops = tuple(
-        DenseOperator(ghat.ring, ghat_d[:, _swap_map(index, (x,))] @ ghat.matrix)
+    n, d = ring.cell_count, ring.local_dim
+    big = doubled_ring(ring)
+    subcells = RingSpace(2 * n, d)
+    right = tuple(range(1, 2 * n, 2))
+    ghat = np.kron(np.eye(d), g.matrix)  # on subcell 2x, then the right subcells
+    ghat_d = ghat.conj().T
+    local = np.arange(d * ring.dim).reshape([d] * (n + 1))
+    gates = tuple(
+        ((2 * x, *right), ghat_d[:, local.swapaxes(0, x + 1).reshape(-1)] @ ghat)
         for x in range(n)
     )
-    k_supports = tuple(support_of(k) for k in k_ops)
+    k_supports = tuple(
+        support_of(DenseOperator(big, op_at(subcells, *gate).matrix)) for gate in gates
+    )
     allowed = tuple(
         tuple(sorted(_neighbourhood_cells(x, neighbourhood, n, periodic)))
         for x in range(n)
     )
+    pair = RingSpace(n + 2, d)  # subcells 2a, 2b, then the right subcells
     commutation = 0.0
-    for a, b in itertools.combinations(k_ops, 2):
-        commutation = max(
-            commutation,
-            float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix)),
-        )
+    for (_, ka), (_, kb) in itertools.combinations(gates, 2):
+        a = op_at(pair, (0, *range(2, n + 2)), ka).matrix
+        b = op_at(pair, (1, *range(2, n + 2)), kb).matrix
+        commutation = max(commutation, float(np.linalg.norm(a @ b - b @ a)))
+    commutation *= math.sqrt(d ** (n - 2))
     # ascending-cell product of the K_x; commutation makes the order moot
-    prod_k = k_ops[0].matrix
-    for k in k_ops[1:]:
-        prod_k = prod_k @ k.matrix
-    all_swaps = _swap_map(index, range(n))
-    product_defect = float(
-        np.linalg.norm(prod_k - ghat_d[:, all_swaps] @ ghat.matrix)
+    t, order = _times_gates(op_at(subcells, *gates[0]).matrix, gates[1:], 2 * n, d)
+    col = {s: 2 * n + i for i, s in enumerate(order)}  # axis of column subcell s
+    left = range(0, 2 * n, 2)
+    reference = g.matrix[:, None, None, :] * g.matrix.conj().T[None, :, :, None]
+    view = t.transpose([*left, *right, *(col[s] for s in left), *(col[s] for s in right)])
+    reference = reference.reshape(view.shape)
+    product_defect = float(np.linalg.norm(np.subtract(reference, view, out=reference)))
+    del reference  # before H is made: two arrays of the doubled size at most
+    h = np.empty((big.dim, big.dim), dtype=np.complex128)
+    np.copyto(
+        h.reshape(t.shape),
+        t.transpose([*(s ^ 1 for s in range(2 * n)), *(col[s] for s in range(2 * n))]),
     )
-    h = DenseOperator(ghat.ring, prod_k[all_swaps])
     # E sends |s> to the doubled state with every left subcell empty
+    index = np.arange(big.dim).reshape([d] * (2 * n))
     embed = index[(0, slice(None)) * n].reshape(-1)
-    he_eg = h.matrix[:, embed]
+    he_eg = h[:, embed]
     he_eg[embed] -= g.matrix
     return LocalizationResult(
-        k_ops,
+        gates,
         k_supports,
         allowed,
-        h,
+        DenseOperator(big, h),
         float(np.linalg.norm(he_eg)),
         commutation,
         product_defect,

@@ -7,7 +7,9 @@ import pytest
 from qcalab import cli, gformat
 from qcalab.cli import main
 from qcalab.dirac import WalkField, gaussian_field, walk_step
-from qcalab.pqca import ScatteringUnitary, save_unitary
+from qcalab.pqca import ScatteringUnitary, composed_step_operator, regroup_pairs, save_unitary
+from qcalab.state import RingSpace
+from qcalab.structure import causality_check
 
 
 def run_cli(args, capsys):
@@ -71,10 +73,9 @@ class TestWalkCommand:
         assert out == ""
         assert message in err
 
-    # 4 sigma^2 underflows to 0, so the centre site is 0/0 (numpy warns) and
-    # the norm nan
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # 4 sigma^2 underflows to 0, which would make the centre site 0/0: refused
+    # while parsing, before numpy can warn
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_gauss_refused_before_any_row(self, capsys, tmp_path):
         csv = tmp_path / "w.csv"
         code, out, err = run_cli(
@@ -83,7 +84,7 @@ class TestWalkCommand:
         )
         assert code == 2
         assert out == ""
-        assert "parameter error: cannot normalize a field of norm nan" in err
+        assert err == "usage error: --init: gauss sigma 1e-300 underflows: 4 sigma^2 is 0\n"
         assert not csv.exists()
 
     def test_bad_init_is_usage_error(self, capsys):
@@ -469,6 +470,138 @@ class TestCausalityCommand:
         assert (code, out) == (2, "")
         assert "--cells: composed step needs a multiple of 4 for supercells" in err
         assert "missing" not in err
+
+
+    def test_ring_size_does_not_matter(self, capsys):
+        # a dense 1000-cell ring could not be built: the window decides
+        code, out, err = run_cli(["causality", "--system", "dirac", "--cells", "1000"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "causality report: system=dirac cells=500 local_dim=4 "
+            "neighbourhood=[-1, 0, 1] periodic=True\nverdict: pass\n"
+        )
+
+
+def dense_step_causality(pqca, cells, nbhd):
+    """The dense reference for `composed_step_causality`: the regrouped
+    ring step built in full and passed to `causality_check`."""
+    ring = RingSpace(cells, pqca.scattering.alphabet_size)
+    return causality_check(regroup_pairs(composed_step_operator(pqca, ring)), nbhd)
+
+
+def quiescent_unitary(d, seed):
+    """A seeded d^2 x d^2 unitary fixing |00>: Haar on the other states."""
+    rng = np.random.default_rng(seed)
+    k = d * d - 1
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    m = np.eye(d * d, dtype=complex)
+    m[1:, 1:] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return m
+
+
+def unitary_file(tmp_path, name):
+    """A saved scattering unitary: seeded quiescent ones with d = 2 and 3,
+    the cell swap, the identity, and a phase on |00>, which breaks
+    quiescence."""
+    matrices = {
+        "haar2-1": lambda: quiescent_unitary(2, 1),
+        "haar2-2": lambda: quiescent_unitary(2, 2),
+        "haar3-3": lambda: quiescent_unitary(3, 3),
+        "swap": lambda: np.eye(4)[[0, 2, 1, 3]].astype(complex),
+        "identity": lambda: np.eye(4, dtype=complex),
+        "phase-broken": lambda: np.diag([np.exp(0.4j), 1, 1, 1]),
+    }
+    m = matrices[name]()
+    path = tmp_path / f"{name}.txt"
+    save_unitary(ScatteringUnitary(round(math.sqrt(len(m))), 1, m), path)
+    return path
+
+
+NEIGHBOURHOODS = [[], ["--neighbourhood=0", "--expect", "fail"], ["--neighbourhood=0,1"], ["--neighbourhood=-1,0"]]
+
+
+class TestCausalityWindowAgainstDense:
+    """`causality --system dirac|file` decides on the 6-cell light-cone
+    window; the same run with the ring step built in full must print the
+    same bytes, witness lines included, with the same exit code."""
+
+    def both(self, argv, capsys, monkeypatch):
+        window = run_cli(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "composed_step_causality", dense_step_causality)
+            dense = run_cli(argv, capsys)
+        return window, dense
+
+    @pytest.mark.parametrize("mass,eps", [(0.0, 0.3), (0.6, 0.26), (1.1, 0.4), (0.5, 0.9)])
+    @pytest.mark.parametrize("nbhd", NEIGHBOURHOODS)
+    def test_dirac(self, capsys, monkeypatch, mass, eps, nbhd):
+        argv = ["causality", "--system", "dirac", "--cells", "8",
+                "--mass", str(mass), "--epsilon", str(eps)] + nbhd
+        window, dense = self.both(argv, capsys, monkeypatch)
+        assert window == dense
+        assert window[0] == (1 if "--neighbourhood=0,1" in nbhd or "--neighbourhood=-1,0" in nbhd else 0)
+
+    @pytest.mark.parametrize("name", ["haar2-1", "haar2-2", "swap", "identity", "phase-broken"])
+    @pytest.mark.parametrize("nbhd", NEIGHBOURHOODS)
+    def test_files(self, capsys, monkeypatch, tmp_path, name, nbhd):
+        path = unitary_file(tmp_path, name)
+        argv = ["causality", "--system", "file", "--unitary-file", str(path), "--cells", "8"] + nbhd
+        window, dense = self.both(argv, capsys, monkeypatch)
+        assert window == dense
+        if name == "phase-broken":
+            assert window[0] == 2 and "does not preserve quiescence" in window[2]
+
+    def test_witnesses_at_twelve_cells(self, capsys, monkeypatch):
+        # the dense 12-cell step takes about 15 s and 1 GB
+        argv = ["causality", "--system", "dirac", "--cells", "12", "--mass", "0.6",
+                "--epsilon", "0.26", "--neighbourhood=0", "--expect", "fail"]
+        window, dense = self.both(argv, capsys, monkeypatch)
+        assert window == dense
+        assert window[0] == 0 and window[1].count("offending image support") == 6
+
+    def test_d3_file_past_the_dense_cap(self, capsys, tmp_path):
+        # 8 cells of d = 3 are 3^8 states, over the dense cap; the window has 3^6
+        path = unitary_file(tmp_path, "haar3-3")
+        code, out, err = run_cli(
+            ["causality", "--system", "file", "--unitary-file", str(path), "--cells", "8"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert "cells=4 local_dim=9" in out and out.endswith("verdict: pass\n")
+
+
+class TestOverCapSizesNameTheirFlag:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["causality", "--system", "identity", "--cells", "13"],
+             "--cells: dense dimension 2^13 exceeds cap 4096; one matrix would take 1.07e+09 bytes"),
+            (["causality", "--system", "xor", "--length", "8"],
+             "--length: dense dimension 3^8 exceeds cap 4096; one matrix would take 6.89e+08 bytes"),
+            (["localize", "--cells", "7"],
+             "--cells: dense dimension 4^7 exceeds cap 4096; one matrix would take 4.29e+09 bytes"),
+            (["trotter", "--cells", "14"],
+             "--cells: dense dimension 2^14 exceeds cap 4096; one matrix would take 4.29e+09 bytes"),
+            (["causality", "--system", "identity", "--cells", "1000000000"],
+             "--cells: dense dimension 2^1000000000 exceeds cap 4096; "
+             "one matrix would take 2^2000000004 bytes"),
+        ],
+    )
+    def test_refused_before_any_array(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("an array was made")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "eye", refuse)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("base,largest", [(2, 12), (3, 7), (4, 6)])
+    def test_largest_size_under_the_cap_passes(self, base, largest):
+        cli._check_dense("--cells", base, largest)
+        with pytest.raises(cli.UsageError, match=f"dense dimension {base}\\^{largest + 1} "):
+            cli._check_dense("--cells", base, largest + 1)
 
 
 class TestSignalCommand:

@@ -6,7 +6,7 @@ import pytest
 
 from qcalab import pqca
 from qcalab.dirac import dirac_scattering_unitary
-from qcalab.operators import translation_operator, unitarity_defect
+from qcalab.operators import op_at, translation_operator, unitarity_defect
 from qcalab.pqca import (
     Pqca,
     ScatteringUnitary,
@@ -696,6 +696,19 @@ class TestApplyPhase:
         pq = Pqca(sector_unitary(3, 1, 5))
         even, odd = (pqca_as_ring_operator(pq, ring, ph).matrix for ph in ("even", "odd"))
         assert np.max(np.abs(composed_step_operator(pq, ring).matrix - odd @ even)) <= 1e-15
+
+    @pytest.mark.parametrize("cells,d", [(4, 2), (6, 2), (6, 3)])
+    def test_open_chain_has_no_wrap_block(self, cells, d):
+        ring = RingSpace(cells, d)
+        pq = Pqca(sector_unitary(d, 1, cells) if d == 3 else quiescence_preserving_unitary(cells))
+        u = pq.scattering.matrix
+        even = pqca_as_ring_operator(pq, ring, "even").matrix
+        inner = np.array([[1.0 + 0.0j]])
+        for _ in range(cells // 2 - 1):
+            inner = np.kron(inner, u)
+        odd = op_at(ring, range(1, cells - 1), inner).matrix
+        open_step = composed_step_operator(pq, ring, periodic=False).matrix
+        assert np.max(np.abs(open_step - odd @ even)) <= 1e-15
 
     def test_batch_equals_each_column(self):
         ring = RingSpace(6, 2)
