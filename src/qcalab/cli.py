@@ -177,9 +177,10 @@ def _parse_init(spec: str, grid: int) -> WalkField:
         mode = _init_field(kind, "MODE", int, parts[3]) if len(parts) == 4 else 0
         if sigma <= 0:
             raise UsageError("--init: gauss sigma must be positive")
-        if 4.0 * sigma * sigma == 0.0:
-            raise UsageError(f"--init: gauss sigma {sigma!r} underflows: 4 sigma^2 is 0")
-        return gaussian_field(grid, center, sigma, mode, component)
+        try:
+            return gaussian_field(grid, center, sigma, mode, component)
+        except ValueError as exc:
+            raise UsageError(f"--init: {exc}") from None
     raise UsageError(
         f"--init: expected delta:SITE[:plus|minus] or gauss:CENTER:SIGMA[:MODE][:plus|minus], got {spec!r}"
     )
@@ -197,11 +198,16 @@ def _check_grid(grid: int):
         )
 
 
+def _over_cap(base: int, count: int) -> bool:
+    """Whether base**count basis states exceed MAX_DENSE_DIM. It compares
+    logarithms, so a huge count builds no huge integer."""
+    return count * math.log2(base) > math.log2(MAX_DENSE_DIM)
+
+
 def _check_dense(flag: str, base: int, count: int):
     """A dense study of base**count basis states, refused over MAX_DENSE_DIM
-    with the bytes of one complex128 matrix, before any array is made. The
-    test compares logarithms, so a huge count builds no huge integer."""
-    if count * math.log2(base) <= math.log2(MAX_DENSE_DIM):
+    with the bytes of one complex128 matrix, before any array is made."""
+    if not _over_cap(base, count):
         return
     bits = 4 + 2 * count * math.log2(base)  # log2 of 16 * dim^2
     size = f"{2.0**bits:.3g}" if bits < 1000 else f"2^{bits:.0f}"
@@ -437,6 +443,11 @@ def _run_signal(cfg: RunConfig) -> int:
     p = cfg.params
     if p["length"] < 3:
         raise UsageError("--length: must be >= 3 (sender, bulk, receiver)")
+    if _over_cap(3, p["length"]):
+        raise UsageError(
+            f"--length: 3^{p['length']} basis states exceed the cap of {MAX_DENSE_DIM} "
+            "states; the study steps state vectors, no matrix"
+        )
     rep = signalling_demo(p["length"])
     d = cfg.digits
     lines = [

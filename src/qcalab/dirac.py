@@ -292,11 +292,23 @@ def gaussian_field(
     """Normalized Gaussian packet with an optional momentum phase.
 
     `mode` is the integer momentum index (phase exp(2 pi i mode x / M)).
+    A packet the grid cannot sample is refused: its exponent overflows at a
+    site, or its largest amplitude squares below the normal float range.
     """
     if component not in ("plus", "minus"):
         raise ValueError("component must be 'plus' or 'minus'")
     x = np.arange(grid_size)
-    amp = np.exp(-((x - center) ** 2) / (4.0 * sigma * sigma)).astype(np.complex128)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exponent = (x - center) ** 2 / (4.0 * sigma * sigma)
+    what = f"gauss packet at {center!r} with sigma {sigma!r} cannot be sampled on the grid"
+    if not np.isfinite(exponent).all():
+        raise ValueError(f"{what}: (x - center)^2 / (4 sigma^2) overflows")
+    amp = np.exp(-exponent).astype(np.complex128)
+    peak = float(amp.real.max())
+    if not peak * peak >= np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"{what}: its largest site amplitude, {peak!r}, squares below the normal float range"
+        )
     amp *= np.exp(2j * math.pi * mode * x / grid_size)
     zero = np.zeros(grid_size, dtype=np.complex128)
     f = WalkField(amp, zero) if component == "plus" else WalkField(zero, amp)

@@ -12,7 +12,8 @@ act as index maps (gathers, transposed views), never as matrix products.
 matrices for inspection and tests. Second, the quantized classical
 counterexample: a bijective, causal, XOR-like classical rule whose unitary
 lifting is *not* causal, demonstrated by a one-step signalling protocol
-between the two ends of a word.
+between the two ends of a word; the lifting is kept as a basis permutation,
+and only the dense causality check makes its matrix (`xor_lifted`).
 
 Both rest on the Heisenberg causality check. A QCA is a unitary that is
 causal and translation-invariant; the dense check uses the second property
@@ -75,36 +76,40 @@ def xor_window_step(symbols: tuple) -> tuple:
     )
 
 
-def lift_classical(step, window_length: int, alphabet_size: int = 3) -> DenseOperator:
-    """Linear extension of a classical window step to a unitary: the 0/1
-    matrix sending |c> to |step(c)>.
+def lift_classical(step, window_length: int, alphabet_size: int = 3) -> np.ndarray:
+    """Linear extension of a classical window step, |c> -> |step(c)>, as
+    the basis permutation it is: entry i is the index of step(c) for the
+    word c of index i (cell 0 most significant).
 
     Brute-forces all alphabet_size**window_length window words; a
     non-injective step is rejected with a colliding pair of words (the
     expected failure mode for steps that lose information off a boundary).
     """
     ring = RingSpace(window_length, alphabet_size)
-    dim = ring.dim
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    image = np.empty(ring.dim, dtype=np.intp)
     seen: dict = {}
-    for word in itertools.product(range(alphabet_size), repeat=window_length):
-        image = tuple(step(word))
-        if len(image) != window_length or any(
-            not (0 <= s < alphabet_size) for s in image
-        ):
-            raise ValueError(f"step image {image} leaves the window basis")
-        if image in seen:
+    for index, word in enumerate(itertools.product(range(alphabet_size), repeat=window_length)):
+        stepped = tuple(step(word))
+        try:
+            target = ring.index_of(stepped)
+        except ValueError:
+            raise ValueError(f"step image {stepped} leaves the window basis") from None
+        if target in seen:
             raise ValueError(
-                f"step is not injective over the window: {seen[image]} and {word} "
-                f"both map to {image}"
+                f"step is not injective over the window: {seen[target]} and {word} "
+                f"both map to {stepped}"
             )
-        seen[image] = word
-        matrix[ring.index_of(image), ring.index_of(word)] = 1.0
-    return DenseOperator(ring, matrix)
+        seen[target] = word
+        image[index] = target
+    return image
 
 
 def xor_lifted(window_length: int) -> DenseOperator:
-    return lift_classical(xor_window_step, window_length)
+    """The lifted XOR rule as a dense 0/1 matrix, for the dense checks."""
+    image = lift_classical(xor_window_step, window_length)
+    matrix = np.zeros((len(image), len(image)), dtype=np.complex128)
+    matrix[image, np.arange(len(image))] = 1.0
+    return DenseOperator(RingSpace(window_length, 3), matrix)
 
 
 def _neighbourhood_cells(x: int, neighbourhood, n_cells: int, periodic: bool) -> frozenset:
@@ -514,31 +519,26 @@ def signalling_demo(length: int) -> SignallingReport:
     turns them into |ff...f> (x) (|f> +/- |t>)/sqrt(2), whose last-cell
     states are orthogonal (distance 1). A phase flip on the *first* cell
     toggles between the two inputs exactly, so the first cell signals to the
-    last in a single step at any length.
+    last in a single step at any length. The step is a scatter through
+    `lift_classical`'s permutation, the flip a sign vector: only vectors.
     """
     if length < 3:
         raise ValueError("signalling demo needs a word of length >= 3")
-    f_hat = xor_lifted(length)
-    ring = f_hat.ring
+    image = lift_classical(xor_window_step, length)
+    ring = RingSpace(length, 3)
+    idx_f, idx_t = (ring.index_of((s,) * length) for s in (F_SYM, T_SYM))
     c_plus = np.zeros(ring.dim, dtype=np.complex128)
-    c_minus = np.zeros(ring.dim, dtype=np.complex128)
-    idx_f = ring.index_of((F_SYM,) * length)
-    idx_t = ring.index_of((T_SYM,) * length)
-    c_plus[idx_f] = c_plus[idx_t] = 1.0 / np.sqrt(2.0)
-    c_minus[idx_f] = 1.0 / np.sqrt(2.0)
+    c_plus[[idx_f, idx_t]] = 1.0 / np.sqrt(2.0)
+    c_minus = c_plus.copy()
     c_minus[idx_t] = -1.0 / np.sqrt(2.0)
+    d_plus, d_minus = np.empty_like(c_plus), np.empty_like(c_minus)
+    d_plus[image], d_minus[image] = c_plus, c_minus  # amplitude i moves to image[i]
     bob = (length - 1,)
-    before = trace_distance(
-        reduced_density_from_vector(c_plus, ring, bob),
-        reduced_density_from_vector(c_minus, ring, bob),
+    before, after = (
+        trace_distance(*(reduced_density_from_vector(w, ring, bob) for w in pair))
+        for pair in ((c_plus, c_minus), (d_plus, d_minus))
     )
-    d_plus = f_hat.matrix @ c_plus
-    d_minus = f_hat.matrix @ c_minus
-    after = trace_distance(
-        reduced_density_from_vector(d_plus, ring, bob),
-        reduced_density_from_vector(d_minus, ring, bob),
-    )
-    z = np.diag([1.0, -1.0, 1.0]).astype(np.complex128)  # |t> -> -|t>, |f>, |0> fixed
-    z_alice = op_at(ring, (0,), z)
-    phase_flip_defect = float(np.max(np.abs(z_alice.matrix @ c_plus - c_minus)))
+    # Z = diag(1, -1, 1) on cell 0, the most significant digit
+    flip = np.where(np.arange(ring.dim) // 3 ** (length - 1) == T_SYM, -1.0, 1.0)
+    phase_flip_defect = float(np.max(np.abs(flip * c_plus - c_minus)))
     return SignallingReport(length, before, after, phase_flip_defect)

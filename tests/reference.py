@@ -1,11 +1,13 @@
 """Reference constructions the tests compare the library against: the full
-density matrix of a pure state, its partial trace, and product states
-assembled factor by factor."""
+density matrix of a pure state, its partial trace, product states
+assembled factor by factor, and the XOR signalling study through dense
+matrices."""
 
 import numpy as np
 
-from qcalab.operators import DensityMatrix
+from qcalab.operators import DensityMatrix, op_at, reduced_density_from_vector, trace_distance
 from qcalab.state import RingSpace
+from qcalab.structure import F_SYM, T_SYM, SignallingReport, xor_lifted
 
 
 def density_from_vector(vector: np.ndarray, ring: RingSpace) -> DensityMatrix:
@@ -58,3 +60,33 @@ def tensor_state(ring: RingSpace, factors) -> np.ndarray:
         raise ValueError(f"factors do not partition the register: {sorted(cells_order)}")
     src = [cells_order.index(c) for c in range(ring.cell_count)]
     return full.reshape([d] * ring.cell_count).transpose(src).reshape(-1)
+
+
+def dense_signalling_demo(length: int) -> SignallingReport:
+    """`structure.signalling_demo` as it was built from dense matrices: the
+    lifted step is the 0/1 matrix `xor_lifted(length)` times each state,
+    and the sender's phase flip is Z = diag(1, -1, 1) placed on cell 0 by
+    `op_at`, times c+."""
+    if length < 3:
+        raise ValueError("signalling demo needs a word of length >= 3")
+    f_hat = xor_lifted(length)
+    ring = f_hat.ring
+    c_plus = np.zeros(ring.dim, dtype=np.complex128)
+    c_minus = np.zeros(ring.dim, dtype=np.complex128)
+    idx_f = ring.index_of((F_SYM,) * length)
+    idx_t = ring.index_of((T_SYM,) * length)
+    c_plus[idx_f] = c_plus[idx_t] = 1.0 / np.sqrt(2.0)
+    c_minus[idx_f] = 1.0 / np.sqrt(2.0)
+    c_minus[idx_t] = -1.0 / np.sqrt(2.0)
+    bob = (length - 1,)
+    before = trace_distance(
+        reduced_density_from_vector(c_plus, ring, bob),
+        reduced_density_from_vector(c_minus, ring, bob),
+    )
+    after = trace_distance(
+        reduced_density_from_vector(f_hat.matrix @ c_plus, ring, bob),
+        reduced_density_from_vector(f_hat.matrix @ c_minus, ring, bob),
+    )
+    z_alice = op_at(ring, (0,), np.diag([1.0, -1.0, 1.0]).astype(np.complex128))
+    phase_flip_defect = float(np.max(np.abs(z_alice.matrix @ c_plus - c_minus)))
+    return SignallingReport(length, before, after, phase_flip_defect)

@@ -10,6 +10,7 @@ from qcalab.dirac import WalkField, gaussian_field, walk_step
 from qcalab.pqca import ScatteringUnitary, composed_step_operator, regroup_pairs, save_unitary
 from qcalab.state import RingSpace
 from qcalab.structure import causality_check
+from reference import dense_signalling_demo
 
 
 def run_cli(args, capsys):
@@ -73,19 +74,42 @@ class TestWalkCommand:
         assert out == ""
         assert message in err
 
-    # 4 sigma^2 underflows to 0, which would make the centre site 0/0: refused
-    # while parsing, before numpy can warn
+    # a packet narrower than a site: its exponent overflows off the centre
+    # site (4 sigma^2 may even underflow to 0, making the centre site 0/0),
+    # or every amplitude underflows; refused before numpy can warn
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflowing_gauss_refused_before_any_row(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [
+            ("gauss:4:1e-300", "at 4.0 with sigma 1e-300 cannot be sampled on the grid: "
+             "(x - center)^2 / (4 sigma^2) overflows"),
+            ("gauss:4:1e-160", "at 4.0 with sigma 1e-160 cannot be sampled on the grid: "
+             "(x - center)^2 / (4 sigma^2) overflows"),
+            ("gauss:4.5:1e-10", "at 4.5 with sigma 1e-10 cannot be sampled on the grid: "
+             "its largest site amplitude, 0.0, squares below the normal float range"),
+            ("gauss:1e300:3", "at 1e+300 with sigma 3.0 cannot be sampled on the grid: "
+             "(x - center)^2 / (4 sigma^2) overflows"),
+            ("gauss:200:1", "at 200.0 with sigma 1.0 cannot be sampled on the grid: "
+             "its largest site amplitude, 0.0, squares below the normal float range"),
+        ],
+    )
+    def test_underflowing_gauss_refused_before_any_row(self, capsys, tmp_path, spec, reason):
         csv = tmp_path / "w.csv"
         code, out, err = run_cli(
-            ["walk", "--grid", "8", "--steps", "1", "--init", "gauss:4:1e-300", "--out", str(csv)],
-            capsys,
+            ["walk", "--grid", "8", "--steps", "1", "--init", spec, "--out", str(csv)], capsys
         )
-        assert code == 2
-        assert out == ""
-        assert err == "usage error: --init: gauss sigma 1e-300 underflows: 4 sigma^2 is 0\n"
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --init: gauss packet {reason}\n"
         assert not csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrowest_sampled_gauss_runs(self, capsys):
+        # centred on a site: the others get exactly 0 and the walk runs
+        code, out, err = run_cli(
+            ["walk", "--grid", "8", "--steps", "0", "--init", "gauss:4:0.01"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[5] == "0,0.40000000000000002,1,0,0,0,1"
 
     def test_bad_init_is_usage_error(self, capsys):
         code, _, err = run_cli(["walk", "--init", "delta:99", "--grid", "32"], capsys)
@@ -616,6 +640,29 @@ class TestSignalCommand:
         code, _, err = run_cli(["signal", "--length", "2"], capsys)
         assert code == 2
         assert "--length" in err
+
+    @pytest.mark.parametrize("length", ["8", "1000000000"])
+    def test_length_over_the_cap_refused_before_any_array(self, capsys, monkeypatch, length):
+        def refuse(*args):
+            raise AssertionError("an array was made")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "eye", refuse)
+        code, out, err = run_cli(["signal", "--length", length], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: --length: 3^{length} basis states exceed the cap of 4096 states; "
+            "the study steps state vectors, no matrix\n"
+        )
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 6, 7])
+    def test_stdout_equals_dense_reference(self, capsys, monkeypatch, length):
+        argv = ["signal", "--length", str(length)]
+        scattered = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "signalling_demo", dense_signalling_demo)
+        assert scattered == run_cli(argv, capsys)
+        assert scattered[0] == 0 and scattered[1].endswith("verdict: pass\n")
 
 
 class TestLocalizeCommand:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qcalab.operators import (
     DenseOperator,
     identity_operator,
     op_at,
+    reduced_density_from_vector,
     support_of,
     trace_distance,
     unitarity_defect,
@@ -91,8 +93,8 @@ class TestXorRule:
 
 class TestLifting:
     def test_identity_step(self):
-        lifted = lift_classical(lambda w: w, 3)
-        assert np.array_equal(lifted.matrix, np.eye(27))
+        image = lift_classical(lambda w: w, 3)
+        assert np.array_equal(image, np.arange(27))
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5])
     def test_xor_lifting_is_a_permutation(self, length):
@@ -136,6 +138,53 @@ class TestSignalling:
     def test_short_words_rejected(self):
         with pytest.raises(ValueError, match=">= 3"):
             signalling_demo(2)
+
+
+class TestSignallingPermutation:
+    """`signalling_demo` steps c+ and c- by a scatter through the basis
+    permutation and flips the sender's phase with a sign vector; the dense
+    0/1 matrix is the reference (the whole report is compared with the
+    dense build in `test_cli.py::TestSignalCommand`)."""
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 6, 7])
+    def test_scattered_states_equal_the_dense_product(self, monkeypatch, length):
+        seen = []
+
+        def spy(vector, ring, keep):
+            seen.append(vector.copy())
+            return reduced_density_from_vector(vector, ring, keep)
+
+        monkeypatch.setattr(structure, "reduced_density_from_vector", spy)
+        signalling_demo(length)
+        c_plus, c_minus, d_plus, d_minus = seen
+        matrix = xor_lifted(length).matrix
+        # array_equal takes -0.0 == 0.0: the product may sign a zero otherwise
+        assert np.array_equal(d_plus, matrix @ c_plus)
+        assert np.array_equal(d_minus, matrix @ c_minus)
+
+    def test_no_array_of_the_squared_size(self, monkeypatch):
+        # one 3^14-element array of any dtype takes at least 3^14 bytes
+        squared = 3**14
+
+        def refusing(make, size):
+            def checked(*args, **kwargs):
+                assert size(*args) < squared, f"an array of {size(*args)} elements"
+                return make(*args, **kwargs)
+
+            return checked
+
+        shape_size = lambda shape, *_: np.prod(shape)  # noqa: E731
+        monkeypatch.setattr(np, "zeros", refusing(np.zeros, shape_size))
+        monkeypatch.setattr(np, "empty", refusing(np.empty, shape_size))
+        monkeypatch.setattr(np, "eye", refusing(np.eye, lambda n, m=None, *_: n * (m or n)))
+        tracemalloc.start()
+        try:
+            rep = signalling_demo(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.after == pytest.approx(1.0, abs=1e-10)
+        assert peak < squared, f"peak {peak} bytes"
 
 
 class TestCausalityCheck:
