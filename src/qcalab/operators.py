@@ -2,10 +2,11 @@
 minimal-support extraction, Hermitian exponentials and trace distance.
 Everything is plain numpy; sizes are capped by RingSpace.
 
-`op_at` is the one embedding primitive: every "local matrix on cells S of
-the register, identity elsewhere" (single-cell probes, block phases on
-rotated cells, ring Hamiltonian terms, right-subcell extensions) is one
-call to it.
+`op_at` places a local matrix on cells S of a register, identity
+elsewhere, as one dense matrix: ring Hamiltonian terms, block phases on
+rotated cells, commutators on a few subcells, right-subcell extensions.
+Tensor powers over adjacent cells are `np.kron` chains, and a phase map on
+vectors (`pqca.apply_phase`) is applied without any matrix.
 """
 
 from __future__ import annotations
@@ -190,11 +191,13 @@ def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of rho - sigma; in [0, 1]."""
+    """Half the sum of absolute eigenvalues of rho - sigma, clamped to
+    [0, 1]: for orthogonal states the rounded sum can exceed 1 by an ulp."""
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("density matrix dimension mismatch")
     diff = rho.matrix - sigma.matrix
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
+    half = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)))
+    return min(float(half), 1.0)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -3,11 +3,11 @@
 Two centerpieces. First, the localizability construction: extend a causal
 unitary G to act on the right subcells of a doubled-alphabet register, build
 the commuting local update gates K_x = Ghat^dag S_x Ghat (S_x the subcell
-swap at x) and the layered map H = (prod S_x)(prod K_x), and verify
-H E = E G against the subcell-doubling embedding E. Each K_x acts on N+1 of
-the 2N subcells, so it is built, commuted and multiplied as its local
-matrix; the swaps, their product and E permute or embed basis states and
-act as index maps (gathers, transposed views), never as matrix products.
+swap at x), and verify H E = E G for the layered map H = (prod S_x)(prod
+K_x) and the subcell-doubling embedding E. Each K_x acts on N+1 of the 2N
+subcells, so it is built, commuted, multiplied and has its support taken
+as its local matrix; only the gate product is of the doubled register's
+size, and H E is read from it in place. The swaps and E act as index maps.
 `subcell_swap` and `extend_to_right_subcells` build a swap and Ghat as
 matrices for inspection and tests. Second, the quantized classical
 counterexample: a bijective, causal, XOR-like classical rule whose unitary
@@ -331,19 +331,35 @@ class LocalizationResult:
     `gates[x]` is the update gate K_x as (subcells, k_x): its local matrix
     on those subcells of the 2N-subcell register, left subcell 2x first,
     then the right subcells 1, 3, ..., 2N-1. `op_at` on RingSpace(2N, d)
-    places it; that register's basis is the doubled ring's.
+    places it; that register's basis is the doubled ring's. `k_supports[x]`
+    holds the cells of the subcells K_x acts on. The layered map H is not
+    kept: the defects need only H E, read from the gate product.
     """
 
     gates: tuple = field(repr=False)
     k_supports: tuple
     allowed: tuple
-    h: DenseOperator = field(repr=False)
-    he_eg_defect: float = 0.0
-    commutation_residual: float = 0.0
-    product_defect: float = 0.0
+    he_eg_defect: float
+    commutation_residual: float
+    product_defect: float
 
     def supports_contained(self) -> bool:
         return all(set(s) <= set(a) for s, a in zip(self.k_supports, self.allowed))
+
+
+def _gate_support(subcells, k: np.ndarray, n_sub: int, d: int) -> tuple:
+    """Cells acted on by the local matrix k on `subcells` of a register of
+    n_sub subcells, subcell s lying in cell s // 2: its support on that
+    register at `SUPPORT_TOL`, read from k with the bound divided by
+    sqrt(d^(n_sub - len(subcells))), the factor by which the identity on
+    the other subcells scales every commutator norm. The doubled ring
+    probes a cell with units on both its subcells; its commutator norms c'
+    and these c obey c/d <= c' <= 2c, so the two supports can differ only
+    where some c lies in (SUPPORT_TOL / 2, d * SUPPORT_TOL].
+    """
+    local = RingSpace(len(subcells), d)
+    tol = SUPPORT_TOL / math.sqrt(d ** (n_sub - len(subcells)))
+    return tuple(sorted({subcells[i] // 2 for i in support_of(DenseOperator(local, k), tol)}))
 
 
 def _times_gates(prod: np.ndarray, gates, n_sub: int, d: int) -> tuple:
@@ -369,23 +385,19 @@ def _times_gates(prod: np.ndarray, gates, n_sub: int, d: int) -> tuple:
     return prod.reshape([d] * (2 * n_sub)), order
 
 
-def build_localization(
-    g: DenseOperator,
-    neighbourhood,
-    *,
-    periodic: bool = True,
-) -> LocalizationResult:
-    """Construct the update gates K_x = Ghat^dag S_x Ghat, their supports,
-    the layered map H = (prod S_x)(prod K_x) and the defect ||H E - E G||,
-    with no matrix product of the doubled register's size.
+def build_localization(g: DenseOperator, neighbourhood) -> LocalizationResult:
+    """Construct the update gates K_x = Ghat^dag S_x Ghat of a causal ring
+    unitary g, their supports, and the defects of the layered map
+    H = (prod S_x)(prod K_x), with no matrix product of the doubled
+    register's size.
 
     On the 2N-subcell register (subcell 2x the left and 2x+1 the right
     subcell of cell x) Ghat is g on the right subcells and S_x touches
     subcells 2x and 2x+1, so K_x acts on subcell 2x and the N right
     subcells alone. Its local matrix k_x = (I (x) g)^dag[:, swap] (I (x) g)
     is built on those N+1 subcells, the swap of the first and the (x+2)-th
-    a column gather (an involution, so its index map is its own inverse);
-    the dense K_x is made, by `op_at`, only to take its support.
+    a column gather (an involution, so its index map is its own inverse).
+    - Supports: from each k_x on its N+1 subcells (`_gate_support`).
     - Commutation residual: max over a < b of ||K_a K_b - K_b K_a||_F, the
       commutator taken on the N+2 subcells where the two act (2a, 2b and
       the right subcells). On the other N-2 left subcells it is the
@@ -398,21 +410,22 @@ def build_localization(
       entry ((l, r), (l', r')) is g[l, r'] conj(g[l', r]). It is compared
       with the gate product through a transposed view, and Ghat is never
       formed.
-    - H is the gate product with its row subcells swapped pairwise, H E its
-      columns whose left subcells are all empty, and E G is G on those
-      rows.
+    - HE-EG defect: H E is the gate product's columns whose left subcells
+      are all empty, with its row subcells swapped pairwise, and E G is G
+      on its rows whose left subcells are all empty. Both are read through
+      the same view, and H is never formed.
     Each gate entry sums the same nonzero terms as the dense product
     (Ghat^dag S_x) Ghat; for d = 2 the gates come out equal bit for bit
-    (tested), for d = 3 within an ulp. H and the three defects agree with
-    the dense construction to rounding (within 1e-13, tested).
+    (tested), for d = 3 within an ulp. The three defects agree with the
+    dense construction to rounding (within 1e-13, tested).
 
-    Refuses unitaries that fail the causality check for the claimed
-    neighbourhood: conjugating the subcell swap by a non-causal operator
-    produces nonlocal K_x. Requires g to fix the all-empty basis state
-    (true for every quiescence-preserving evolution), otherwise the
-    intertwining defect picks up the stray phase.
+    Refuses g, before any array of the doubled register is made, when it
+    fails the ring causality check for the claimed neighbourhood: a
+    non-causal g gives nonlocal K_x. Requires g to fix the all-empty basis
+    state (true for every quiescence-preserving evolution), otherwise the
+    HE-EG defect picks up the stray phase.
     """
-    report = causality_check(g, neighbourhood, periodic=periodic)
+    report = causality_check(g, neighbourhood)
     if not report.passed:
         w = report.witnesses[0]
         raise ValueError(
@@ -422,8 +435,6 @@ def build_localization(
         )
     ring = g.ring
     n, d = ring.cell_count, ring.local_dim
-    big = doubled_ring(ring)
-    subcells = RingSpace(2 * n, d)
     right = tuple(range(1, 2 * n, 2))
     ghat = np.kron(np.eye(d), g.matrix)  # on subcell 2x, then the right subcells
     ghat_d = ghat.conj().T
@@ -432,12 +443,9 @@ def build_localization(
         ((2 * x, *right), ghat_d[:, local.swapaxes(0, x + 1).reshape(-1)] @ ghat)
         for x in range(n)
     )
-    k_supports = tuple(
-        support_of(DenseOperator(big, op_at(subcells, *gate).matrix)) for gate in gates
-    )
+    k_supports = tuple(_gate_support(*gate, 2 * n, d) for gate in gates)
     allowed = tuple(
-        tuple(sorted(_neighbourhood_cells(x, neighbourhood, n, periodic)))
-        for x in range(n)
+        tuple(sorted(_neighbourhood_cells(x, neighbourhood, n, True))) for x in range(n)
     )
     pair = RingSpace(n + 2, d)  # subcells 2a, 2b, then the right subcells
     commutation = 0.0
@@ -447,33 +455,19 @@ def build_localization(
         commutation = max(commutation, float(np.linalg.norm(a @ b - b @ a)))
     commutation *= math.sqrt(d ** (n - 2))
     # ascending-cell product of the K_x; commutation makes the order moot
-    t, order = _times_gates(op_at(subcells, *gates[0]).matrix, gates[1:], 2 * n, d)
+    t, order = _times_gates(op_at(RingSpace(2 * n, d), *gates[0]).matrix, gates[1:], 2 * n, d)
     col = {s: 2 * n + i for i, s in enumerate(order)}  # axis of column subcell s
     left = range(0, 2 * n, 2)
     reference = g.matrix[:, None, None, :] * g.matrix.conj().T[None, :, :, None]
     view = t.transpose([*left, *right, *(col[s] for s in left), *(col[s] for s in right)])
     reference = reference.reshape(view.shape)
     product_defect = float(np.linalg.norm(np.subtract(reference, view, out=reference)))
-    del reference  # before H is made: two arrays of the doubled size at most
-    h = np.empty((big.dim, big.dim), dtype=np.complex128)
-    np.copyto(
-        h.reshape(t.shape),
-        t.transpose([*(s ^ 1 for s in range(2 * n)), *(col[s] for s in range(2 * n))]),
-    )
-    # E sends |s> to the doubled state with every left subcell empty
-    index = np.arange(big.dim).reshape([d] * (2 * n))
-    embed = index[(0, slice(None)) * n].reshape(-1)
-    he_eg = h[:, embed]
-    he_eg[embed] -= g.matrix
-    return LocalizationResult(
-        gates,
-        k_supports,
-        allowed,
-        DenseOperator(big, h),
-        float(np.linalg.norm(he_eg)),
-        commutation,
-        product_defect,
-    )
+    # H's row (l, r) is the gate product's row (r, l); E keeps the columns
+    # whose left subcells are all empty, and E G is G on H's rows with l = 0
+    he_eg = view[(slice(None),) * (2 * n) + (0,) * n].reshape(ring.dim, ring.dim, ring.dim)
+    he_eg[:, 0] -= g.matrix
+    he_eg_defect = float(np.linalg.norm(he_eg))
+    return LocalizationResult(gates, k_supports, allowed, he_eg_defect, commutation, product_defect)
 
 
 def single_cell_product(ring: RingSpace, local_unitary: np.ndarray) -> DenseOperator:
