@@ -47,10 +47,13 @@ from .structure import (
     build_localization,
     causality_check,
     composed_step_causality,
+    lift_classical,
+    permutation_causality,
     quiescence_preserving_local,
     signalling_demo,
     single_cell_product,
     xor_lifted,
+    xor_window_step,
 )
 from .trotter import (
     TwoCellHamiltonian,
@@ -73,6 +76,10 @@ _WALK_ARRAY_BYTES = 6 * 16
 # the heap and raised the peak RSS by several MB over a run.
 _CSV_ROWS = 1024
 _TEXT_ROWS = 32
+# Largest basis of `causality --system xor|identity`, checked before any array
+# of one entry per basis word is made: 3^11 words (xor --length 11) take about
+# 2 s, 2^18 (identity --cells 18) about 3 s on one core.
+MAX_WORDS = 1 << 18
 
 
 @dataclass
@@ -198,10 +205,10 @@ def _check_grid(grid: int):
         )
 
 
-def _over_cap(base: int, count: int) -> bool:
-    """Whether base**count basis states exceed MAX_DENSE_DIM. It compares
+def _over_cap(base: int, count: int, cap: int = MAX_DENSE_DIM) -> bool:
+    """Whether base**count basis states exceed `cap`. It compares
     logarithms, so a huge count builds no huge integer."""
-    return count * math.log2(base) > math.log2(MAX_DENSE_DIM)
+    return count * math.log2(base) > math.log2(cap)
 
 
 def _check_dense(flag: str, base: int, count: int):
@@ -386,29 +393,42 @@ def _run_localize(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _check_words(flag: str, base: int, count: int):
+    """A basis permutation of base**count words, refused over MAX_WORDS
+    before any array is made."""
+    if _over_cap(base, count, MAX_WORDS):
+        raise UsageError(
+            f"{flag}: {base}^{count} basis states exceed the cap of {MAX_WORDS} states; "
+            "the check indexes the basis permutation, no matrix"
+        )
+
+
 def _causality_report(p: dict, nbhd) -> tuple:
     """The report, with the cell count and local dimension it speaks of."""
-    system = p["system"]
-    if system == "identity":
-        _check_dense("--cells", 2, p["cells"])
-        g = identity_operator(RingSpace(p["cells"], 2))
-        return causality_check(g, nbhd), p["cells"], 2
-    if system == "xor":
-        _check_dense("--length", 3, p["length"])
-        g = xor_lifted(p["length"])
-        return causality_check(g, nbhd, periodic=False), p["length"], 3
-    if system not in ("dirac", "file"):
+    system, cells, length = p["system"], p["cells"], p["length"]
+    if system not in ("identity", "dirac", "xor", "file"):
         raise UsageError("--system: must be identity, dirac, xor or file")
+    if cells < 1:
+        raise UsageError("--cells: must be positive")
+    if length < 1:
+        raise UsageError("--length: must be positive")
+    if system == "identity":
+        _check_words("--cells", 2, cells)
+        return permutation_causality(np.arange(2**cells), cells, 2, nbhd), cells, 2
+    if system == "xor":
+        _check_words("--length", 3, length)
+        image = lift_classical(xor_window_step, length)
+        return permutation_causality(image, length, 3, nbhd, periodic=False), length, 3
     if system == "file" and not p["unitary_file"]:
         raise UsageError("--unitary-file: required for --system file")
-    if p["cells"] % 4 != 0:
+    if cells % 4 != 0:
         raise UsageError("--cells: composed step needs a multiple of 4 for supercells")
     if system == "dirac":
         u = dirac_scattering_unitary(p["mass"], p["epsilon"])
     else:
         u = _load_unitary_file(p["unitary_file"])
-    report = composed_step_causality(Pqca(u), p["cells"], nbhd)
-    return report, p["cells"] // 2, u.alphabet_size**2
+    report = composed_step_causality(Pqca(u), cells, nbhd)
+    return report, cells // 2, u.alphabet_size**2
 
 
 def _run_causality(cfg: RunConfig) -> int:
@@ -576,8 +596,10 @@ def _selftest_localize(seed: int):
 
 
 def _selftest_causality(seed: int):
-    assert causality_check(identity_operator(RingSpace(4, 2)), (0,)).passed
-    yield "identity is causal with trivial neighbourhood"
+    rep = permutation_causality(np.arange(16), 4, 2, (0,))
+    assert rep.passed, "identity not causal with trivial neighbourhood"
+    assert rep == causality_check(identity_operator(RingSpace(4, 2)), (0,)), "identity reports differ"
+    yield "identity is causal with trivial neighbourhood; index-map and dense reports agree"
     pq = Pqca(dirac_scattering_unitary(0.5, 0.3))
     assert composed_step_causality(pq, 8, (-1, 0, 1)).passed, "composed step not causal on supercells"
     yield "composed two-phase step causal with supercell neighbourhood {-1,0,1}"
@@ -586,9 +608,11 @@ def _selftest_causality(seed: int):
         window = composed_step_causality(pq, 8, nbhd)
         assert window == causality_check(g2, nbhd), f"window and dense reports differ for {nbhd}"
     yield "light-cone window report equals the dense 8-cell ring's"
-    rep = causality_check(xor_lifted(4), (-2, -1, 0, 1, 2), periodic=False)
+    nbhd = (-2, -1, 0, 1, 2)
+    rep = permutation_causality(lift_classical(xor_window_step, 4), 4, 3, nbhd, periodic=False)
     assert not rep.passed, "lifted xor rule unexpectedly causal"
-    yield "lifted xor rule is not causal"
+    assert rep == causality_check(xor_lifted(4), nbhd, periodic=False), "xor reports differ"
+    yield "lifted xor rule is not causal; index-map and dense reports agree"
 
 
 def _selftest_signal(seed: int):

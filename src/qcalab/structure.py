@@ -13,7 +13,8 @@ matrices for inspection and tests. Second, the quantized classical
 counterexample: a bijective, causal, XOR-like classical rule whose unitary
 lifting is *not* causal, demonstrated by a one-step signalling protocol
 between the two ends of a word; the lifting is kept as a basis permutation,
-and only the dense causality check makes its matrix (`xor_lifted`).
+and its matrix (`xor_lifted`) is made only as the reference in the
+`causality` selftest and the tests.
 
 Both rest on the Heisenberg causality check. A QCA is a unitary that is
 causal and translation-invariant; the dense check uses the second property
@@ -21,7 +22,9 @@ too: when the operator commutes with the ring translation, the images of
 the observables at one cell give the witnesses at every cell. A
 partitioned automaton's step is decided from its local rule instead
 (`composed_step_causality`): the images at one supercell touch only the
-blocks of its light cone, a 6-cell window whatever the ring size.
+blocks of its light cone, a 6-cell window whatever the ring size. A basis
+permutation is decided on its index map (`permutation_causality`): each
+image is a partial permutation of the basis words.
 """
 
 from __future__ import annotations
@@ -81,31 +84,36 @@ def lift_classical(step, window_length: int, alphabet_size: int = 3) -> np.ndarr
     the basis permutation it is: entry i is the index of step(c) for the
     word c of index i (cell 0 most significant).
 
-    Brute-forces all alphabet_size**window_length window words; a
+    Brute-forces all alphabet_size**window_length window words, indexing
+    them by mixed-radix arithmetic, so no dense cap applies; a
     non-injective step is rejected with a colliding pair of words (the
     expected failure mode for steps that lose information off a boundary).
     """
-    ring = RingSpace(window_length, alphabet_size)
-    image = np.empty(ring.dim, dtype=np.intp)
-    seen: dict = {}
-    for index, word in enumerate(itertools.product(range(alphabet_size), repeat=window_length)):
+    n, d = window_length, alphabet_size
+    image = np.empty(d**n, dtype=np.intp)
+    source = np.full(d**n, -1, dtype=np.intp)  # the word mapped to each index
+    for index, word in enumerate(itertools.product(range(d), repeat=n)):
         stepped = tuple(step(word))
-        try:
-            target = ring.index_of(stepped)
-        except ValueError:
-            raise ValueError(f"step image {stepped} leaves the window basis") from None
-        if target in seen:
+        if len(stepped) != n or not all(0 <= s < d for s in stepped):
+            raise ValueError(f"step image {stepped} leaves the window basis")
+        target = 0
+        for s in stepped:
+            target = target * d + int(s)
+        if source[target] >= 0:
+            first = tuple(int(s) for s in np.unravel_index(source[target], (d,) * n))
             raise ValueError(
-                f"step is not injective over the window: {seen[target]} and {word} "
+                f"step is not injective over the window: {first} and {word} "
                 f"both map to {stepped}"
             )
-        seen[target] = word
+        source[target] = index
         image[index] = target
     return image
 
 
 def xor_lifted(window_length: int) -> DenseOperator:
-    """The lifted XOR rule as a dense 0/1 matrix, for the dense checks."""
+    """The lifted XOR rule as a dense 0/1 matrix: the reference against
+    which `permutation_causality` is checked, used only by the `causality`
+    selftest and the tests."""
     image = lift_classical(xor_window_step, window_length)
     matrix = np.zeros((len(image), len(image)), dtype=np.complex128)
     matrix[image, np.arange(len(image))] = 1.0
@@ -228,9 +236,11 @@ def causality_check(
       invariant only under two-cell shifts, build images at every cell;
     - unitarity: cell 0 comes first, and its images of E_ii sum to g^dag g,
       so a non-unitary g is rejected before any other cell is probed.
-    This is the reference check, for any matrix; a partitioned automaton's
+    This is the reference check, for any matrix. A partitioned automaton's
     step on a ring that holds its light cone goes through
-    `composed_step_causality`, which needs no matrix of the ring.
+    `composed_step_causality`, and a basis permutation (the lifted XOR
+    rule, the identity) through `permutation_causality`; neither makes a
+    matrix of the ring.
     """
     ring = g.ring
     n, d = ring.cell_count, ring.local_dim
@@ -293,6 +303,62 @@ def composed_step_causality(pqca: Pqca, cells: int, neighbourhood) -> CausalityR
         for unit, supp in _unit_supports(window, 1).items()
     }
     return _report({0: centre}, n, window.ring.local_dim, neighbourhood, True)
+
+
+def _map_support(sigma: np.ndarray, domain: np.ndarray, places: np.ndarray, d: int) -> tuple:
+    """Cells on which the 0/1 map w -> sigma[w], defined on the words w
+    where `domain` holds, does not act as the identity; `places` holds
+    each cell's place value."""
+    support = []
+    for c, place in enumerate(places):
+        shape = (d**c, d, -1)  # axis 1 is digit c
+        m, s = domain.reshape(shape), sigma.reshape(shape)
+        if np.all(m == m[:, :1]):  # (1) the domain is closed under changing digit c
+            digit = s // place % d
+            rest = s - digit * place
+            keeps = np.all(~m | (digit == np.arange(d)[:, None]))  # (2) it keeps digit c
+            if keeps and np.all(~m | (rest == rest[:, :1])):  # (3) the rest ignores digit c
+                continue
+        support.append(c)
+    return tuple(support)
+
+
+def permutation_causality(
+    image: np.ndarray, cells: int, local_dim: int, neighbourhood, *, periodic: bool = True
+) -> CausalityReport:
+    """`causality_check` of the basis permutation |w> -> |image[w]> of the
+    local_dim**cells words (cell 0 the most significant digit), in the form
+    `lift_classical` returns, decided on the index map: no matrix is made.
+
+    The image of E_ij at cell x is the partial permutation
+    w -> image^-1(image[w] with digit x set to i) on the words w whose
+    image has digit j at x. A 0/1 map acts as the identity on cell c
+    exactly when (1) its domain is closed under changing digit c, (2) it
+    keeps digit c and (3) the rest of the mapped word does not depend on
+    digit c. Its commutator norms with the matrix units are 0 or at least
+    1, so these supports are `support_of`'s at any tolerance below 1 and
+    the report equals the dense check's on the 0/1 matrix (tested). A
+    permutation is unitary; an `image` that is not one is refused.
+    """
+    n, d = cells, local_dim
+    words = np.arange(d**n)
+    if image.shape != words.shape or not np.array_equal(np.sort(image), words):
+        raise ValueError("operator is not a permutation of the basis words")
+    inverse = np.empty_like(words)
+    inverse[image] = words
+    places = d ** np.arange(n - 1, -1, -1)
+    supports = {}
+    for x, place in enumerate(places):
+        digit = image // place % d
+        cleared = image - digit * place
+        maps = [inverse[cleared + i * place] for i in range(d)]
+        domains = [digit == j for j in range(d)]
+        supports[x] = {
+            (i, j): _map_support(maps[i], domains[j], places, d)
+            for i in range(d)
+            for j in range(i, d)
+        }
+    return _report(supports, n, d, neighbourhood, periodic)
 
 
 def doubled_ring(ring: RingSpace) -> RingSpace:

@@ -1,13 +1,14 @@
 """Reference constructions the tests compare the library against: the full
 density matrix of a pure state, its partial trace, product states
-assembled factor by factor, and the XOR signalling study through dense
-matrices."""
+assembled factor by factor, the XOR signalling study through dense
+matrices, and the causality of a basis permutation through its dense 0/1
+matrix."""
 
 import numpy as np
 
-from qcalab.operators import DensityMatrix, op_at, reduced_density_from_vector, trace_distance
+from qcalab.operators import DenseOperator, DensityMatrix, op_at, reduced_density_from_vector, trace_distance
 from qcalab.state import RingSpace
-from qcalab.structure import F_SYM, T_SYM, SignallingReport, xor_lifted
+from qcalab.structure import F_SYM, T_SYM, SignallingReport, causality_check, xor_lifted
 
 
 def density_from_vector(vector: np.ndarray, ring: RingSpace) -> DensityMatrix:
@@ -90,3 +91,16 @@ def dense_signalling_demo(length: int) -> SignallingReport:
     z_alice = op_at(ring, (0,), np.diag([1.0, -1.0, 1.0]).astype(np.complex128))
     phase_flip_defect = float(np.max(np.abs(z_alice.matrix @ c_plus - c_minus)))
     return SignallingReport(length, before, after, phase_flip_defect)
+
+
+def permutation_matrix(image: np.ndarray, cells: int, local_dim: int) -> DenseOperator:
+    """The 0/1 matrix of |w> -> |image[w]> on `cells` cells of `local_dim` levels."""
+    matrix = np.zeros((len(image), len(image)), dtype=np.complex128)
+    matrix[image, np.arange(len(image))] = 1.0
+    return DenseOperator(RingSpace(cells, local_dim), matrix)
+
+
+def dense_permutation_causality(image, cells, local_dim, neighbourhood, *, periodic=True):
+    """`structure.permutation_causality` as the dense check on the 0/1 matrix."""
+    g = permutation_matrix(image, cells, local_dim)
+    return causality_check(g, neighbourhood, periodic=periodic)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,8 +10,8 @@ from qcalab.cli import main
 from qcalab.dirac import WalkField, gaussian_field, walk_step
 from qcalab.pqca import ScatteringUnitary, composed_step_operator, regroup_pairs, save_unitary
 from qcalab.state import RingSpace
-from qcalab.structure import causality_check
-from reference import dense_signalling_demo
+from qcalab.structure import causality_check, permutation_causality
+from reference import dense_permutation_causality, dense_signalling_demo
 
 
 def run_cli(args, capsys):
@@ -593,21 +594,80 @@ class TestCausalityWindowAgainstDense:
         assert "cells=4 local_dim=9" in out and out.endswith("verdict: pass\n")
 
 
+class TestCausalityPermutationAgainstDense:
+    """`causality --system xor|identity` decides on the basis permutation's
+    index map; the same run through the dense check on its 0/1 matrix must
+    print the same bytes, witness lines included, with the same exit code."""
+
+    def both(self, argv, capsys, monkeypatch):
+        indexed = run_cli(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "permutation_causality", dense_permutation_causality)
+            dense = run_cli(argv, capsys)
+        return indexed, dense
+
+    @pytest.mark.parametrize("length", range(2, 7))
+    @pytest.mark.parametrize("nbhd", [[], ["--neighbourhood=1"]])
+    def test_xor(self, capsys, monkeypatch, length, nbhd):
+        indexed, dense = self.both(["causality", "--system", "xor", "--length", str(length)] + nbhd,
+                                   capsys, monkeypatch)
+        assert indexed == dense
+        assert indexed[1].endswith("verdict: pass\n" if (length, nbhd) == (2, []) else "verdict: fail\n")
+
+    @pytest.mark.parametrize("cells", range(1, 11))
+    @pytest.mark.parametrize("nbhd", [[], ["--neighbourhood=1"]])
+    def test_identity(self, capsys, monkeypatch, cells, nbhd):
+        indexed, dense = self.both(["causality", "--system", "identity", "--cells", str(cells)] + nbhd,
+                                   capsys, monkeypatch)
+        assert indexed == dense
+        assert indexed[0] == (1 if nbhd and cells > 1 else 0)
+
+    def test_xor_makes_no_array_of_the_squared_size(self, capsys, monkeypatch):
+        # the dense check on 3^7 words makes 3^14-element matrices; one
+        # array of that many elements takes at least 3^14 bytes
+        squared = 3**14
+
+        def refusing(make, size):
+            def checked(*args, **kwargs):
+                assert size(*args) < squared, f"an array of {size(*args)} elements"
+                return make(*args, **kwargs)
+
+            return checked
+
+        shape_size = lambda shape, *_: np.prod(shape)  # noqa: E731
+        for name in ("zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, refusing(getattr(np, name), shape_size))
+        monkeypatch.setattr(np, "eye", refusing(np.eye, lambda n, m=None, *_: n * (m or n)))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["causality", "--system", "xor", "--length", "7", "--expect", "fail"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "") and out.endswith("verdict: fail\n")
+        assert peak < squared, f"peak {peak} bytes"
+
+
 class TestOverCapSizesNameTheirFlag:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["causality", "--system", "identity", "--cells", "13"],
-             "--cells: dense dimension 2^13 exceeds cap 4096; one matrix would take 1.07e+09 bytes"),
-            (["causality", "--system", "xor", "--length", "8"],
-             "--length: dense dimension 3^8 exceeds cap 4096; one matrix would take 6.89e+08 bytes"),
+            (["causality", "--system", "identity", "--cells", "19"],
+             "--cells: 2^19 basis states exceed the cap of 262144 states; "
+             "the check indexes the basis permutation, no matrix"),
+            (["causality", "--system", "xor", "--length", "12"],
+             "--length: 3^12 basis states exceed the cap of 262144 states; "
+             "the check indexes the basis permutation, no matrix"),
             (["localize", "--cells", "7"],
              "--cells: dense dimension 4^7 exceeds cap 4096; one matrix would take 4.29e+09 bytes"),
             (["trotter", "--cells", "14"],
              "--cells: dense dimension 2^14 exceeds cap 4096; one matrix would take 4.29e+09 bytes"),
-            (["causality", "--system", "identity", "--cells", "1000000000"],
+            (["trotter", "--cells", "1000000000"],
              "--cells: dense dimension 2^1000000000 exceeds cap 4096; "
              "one matrix would take 2^2000000004 bytes"),
+            (["causality", "--system", "identity", "--cells", "1000000000"],
+             "--cells: 2^1000000000 basis states exceed the cap of 262144 states; "
+             "the check indexes the basis permutation, no matrix"),
         ],
     )
     def test_refused_before_any_array(self, capsys, monkeypatch, argv, message):
@@ -626,6 +686,31 @@ class TestOverCapSizesNameTheirFlag:
         cli._check_dense("--cells", base, largest)
         with pytest.raises(cli.UsageError, match=f"dense dimension {base}\\^{largest + 1} "):
             cli._check_dense("--cells", base, largest + 1)
+
+    @pytest.mark.parametrize("flag,base,largest", [("--cells", 2, 18), ("--length", 3, 11)])
+    def test_largest_permutation_under_the_word_cap_passes(self, flag, base, largest):
+        # identity --cells 18 and xor --length 11 each take a few seconds
+        cli._check_words(flag, base, largest)
+        with pytest.raises(cli.UsageError, match=f"^{flag}: {base}\\^{largest + 1} basis states "):
+            cli._check_words(flag, base, largest + 1)
+
+
+class TestCausalitySizesMustBePositive:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--system", "xor", "--length", "0"], "--length: must be positive"),
+            (["--system", "xor", "--length", "-3"], "--length: must be positive"),
+            (["--system", "xor", "--cells", "0"], "--cells: must be positive"),
+            (["--system", "identity", "--cells", "0"], "--cells: must be positive"),
+            # -4 % 4 == 0: the multiple-of-4 check alone let it through
+            (["--system", "dirac", "--cells", "-4"], "--cells: must be positive"),
+            (["--system", "file", "--unitary-file", "missing/u.txt", "--cells", "0"],
+             "--cells: must be positive"),
+        ],
+    )
+    def test_refused_naming_the_flag(self, capsys, argv, message):
+        assert run_cli(["causality"] + argv, capsys) == (2, "", f"usage error: {message}\n")
 
 
 class TestSignalCommand:
@@ -807,6 +892,15 @@ class TestSelftests:
         code, out, _ = run_cli([subcommand, "--selftest"], capsys)
         assert code == 0
         assert out.count("ok ") >= 2 or subcommand == "signal"
+
+    def test_causality_selftest_compares_index_map_and_dense_reports(self, capsys, monkeypatch):
+        def drop_last_witness(*args, **kwargs):
+            rep = permutation_causality(*args, **kwargs)
+            return dataclasses.replace(rep, witnesses=rep.witnesses[:-1])
+
+        monkeypatch.setattr(cli, "permutation_causality", drop_last_witness)
+        code, out, _ = run_cli(["causality", "--selftest"], capsys)
+        assert code == 1 and out.endswith("FAIL causality: xor reports differ\n")
 
     def test_walk_selftest(self, capsys):
         code, out, _ = run_cli(["walk", "--selftest"], capsys)

@@ -34,6 +34,7 @@ from qcalab.structure import (
     causality_check,
     extend_to_right_subcells,
     lift_classical,
+    permutation_causality,
     quiescence_preserving_local,
     signalling_demo,
     single_cell_product,
@@ -42,7 +43,12 @@ from qcalab.structure import (
     xor_plus,
     xor_window_step,
 )
-from reference import density_from_vector, partial_trace, tensor_state
+from reference import (
+    dense_permutation_causality,
+    density_from_vector,
+    partial_trace,
+    tensor_state,
+)
 
 
 def dirac_block_layer(cells=4, mass=0.6, eps=0.5):
@@ -110,6 +116,17 @@ class TestLifting:
         with pytest.raises(ValueError, match="not injective") as err:
             lift_classical(shift_left, 3)
         assert "map to" in str(err.value)
+
+    def test_colliding_pair_is_the_first_in_word_order(self):
+        with pytest.raises(ValueError) as err:
+            lift_classical(lambda w: w[1:] + (0,), 3)
+        assert str(err.value) == (
+            "step is not injective over the window: (0, 0, 0) and (1, 0, 0) both map to (0, 0, 0)"
+        )
+
+    def test_words_past_the_dense_cap(self):
+        # 3^8 words: the words are indexed by arithmetic, not by a RingSpace
+        assert np.array_equal(lift_classical(lambda w: w, 8), np.arange(3**8))
 
     def test_step_leaving_basis_rejected(self):
         with pytest.raises(ValueError, match="leaves the window"):
@@ -403,6 +420,115 @@ class TestComposedStepCausality:
     def test_odd_ring_refused(self):
         with pytest.raises(ValueError, match="odd"):
             structure.composed_step_causality(Pqca(dirac_scattering_unitary(0.7, 0.35)), 9, (0,))
+
+
+def digit_table(n, d):
+    """Row w holds the n digits of word w, cell 0 the most significant."""
+    return np.array(list(itertools.product(range(d), repeat=n)), dtype=np.intp).reshape(d**n, n)
+
+
+def word_index(digits, d):
+    return digits @ d ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def local_permutation(n, d, cells, local):
+    """The basis permutation that applies the permutation `local` of the
+    words on `cells` (in that order) and leaves the other cells alone."""
+    table = digit_table(n, d)
+    new = table.copy()
+    new[:, list(cells)] = digit_table(len(cells), d)[local[word_index(table[:, list(cells)], d)]]
+    return word_index(new, d)
+
+
+def digit_rotation(n, d):
+    """Cell c takes the symbol of cell c + 1 (mod n)."""
+    return word_index(np.roll(digit_table(n, d), -1, axis=1), d)
+
+
+XOR_NEIGHBOURHOODS = [(-1, 0, 1), (0,), (0, 1), (-1, 0), (-2, -1, 0, 1, 2), (0, 1, 2), tuple(range(-3, 4))]
+RING_NEIGHBOURHOODS = [(0,), (-1, 0, 1), (0, 1), (-1, 0)]
+
+
+def _permutation_cases():
+    """(name, image, cells, d, periodic): seeded random permutations, and
+    structured ones whose supports are partial, so that each of the three
+    conditions of `structure._map_support` alone decides some cell."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for d in (2, 3):
+        for n in range(2, 6):
+            for periodic in (True, False):
+                cases.append((f"random-d{d}-n{n}-{periodic}", rng.permutation(d**n), n, d, periodic))
+            cases.append((f"rotation-d{d}-n{n}", digit_rotation(n, d), n, d, True))
+            cases.append((f"increment-d{d}-n{n}", (np.arange(d**n) + 1) % d**n, n, d, True))
+            fixed = int(rng.integers(n))
+            others = [c for c in range(n) if c != fixed]
+            cases.append((f"fixes-cell-{fixed}-d{d}-n{n}",
+                          local_permutation(n, d, others, rng.permutation(d ** (n - 1))), n, d, False))
+            first = int(rng.integers(n - 1))
+            pair = [first, first + 1]
+            cases.append((f"pair-{first}-d{d}-n{n}",
+                          local_permutation(n, d, pair, rng.permutation(d * d)), n, d, True))
+            if n >= 3:
+                # a Toffoli gate's generalization: the image of E_ij (i != j)
+                # at t keeps c's digit and its domain, yet moves s by c's digit
+                c, t, target = (int(v) for v in rng.permutation(n)[:3])
+                table = digit_table(n, d)
+                table[:, target] = (table[:, target] + table[:, c] * table[:, t]) % d
+                cases.append((f"adder-{c}{t}{target}-d{d}-n{n}", word_index(table, d), n, d, False))
+    return cases
+
+
+PERMUTATION_CASES = _permutation_cases()
+
+
+class TestPermutationCausality:
+    """`permutation_causality` reads the supports off the index map; its
+    report, witnesses and their order included, must equal the dense
+    check's on the 0/1 matrix."""
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+    def test_xor_windows(self, monkeypatch, length):
+        image = lift_classical(xor_window_step, length)
+        g = xor_lifted(length)
+        # the dense images do not depend on the neighbourhood: build them once
+        built, dense_supports = {}, structure._unit_supports
+
+        def cached(op, x):
+            if x not in built:
+                built[x] = dense_supports(op, x)
+            return built[x]
+
+        monkeypatch.setattr(structure, "_unit_supports", cached)
+        for nbhd in XOR_NEIGHBOURHOODS + [{x: {0, x} for x in range(length)}]:
+            rep = permutation_causality(image, length, 3, nbhd, periodic=False)
+            assert rep == causality_check(g, nbhd, periodic=False), nbhd
+
+    @pytest.mark.parametrize("cells", range(1, 11))
+    def test_identity_rings(self, cells):
+        g = identity_operator(RingSpace(cells, 2))
+        for nbhd in [(0,), (1,), (-1, 0, 1), {x: {x} for x in range(cells)}]:
+            rep = permutation_causality(np.arange(2**cells), cells, 2, nbhd)
+            assert rep == causality_check(g, nbhd), nbhd
+            assert rep.passed == (nbhd != (1,) or cells == 1)
+
+    @pytest.mark.parametrize(
+        "image,cells,d,periodic", [c[1:] for c in PERMUTATION_CASES], ids=[c[0] for c in PERMUTATION_CASES]
+    )
+    def test_permutations(self, image, cells, d, periodic):
+        for nbhd in RING_NEIGHBOURHOODS:
+            rep = permutation_causality(image, cells, d, nbhd, periodic=periodic)
+            assert rep == dense_permutation_causality(image, cells, d, nbhd, periodic=periodic), nbhd
+
+    def test_cell_left_alone_is_outside_every_support(self):
+        image = local_permutation(4, 3, (0, 1, 3), np.random.default_rng(5).permutation(27))
+        # observables at cell 2 stay there; the others never reach it
+        rep = permutation_causality(image, 4, 3, {0: {0, 1, 3}, 1: {0, 1, 3}, 2: {2}, 3: {0, 1, 3}})
+        assert rep.passed and not rep.witnesses
+
+    def test_not_a_permutation_refused(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_causality(np.array([0, 0, 2, 3]), 2, 2, (0,))
 
 
 class TestTranslationInvariance:
