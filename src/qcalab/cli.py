@@ -32,7 +32,7 @@ from .dirac import (
     walk_vs_engine_crosscheck,
 )
 from .gformat import g_fields
-from .operators import identity_operator, unitarity_defect
+from .operators import identity_operator, spectral_norm, unitarity_defect
 from .pqca import (
     Pqca,
     ScatteringUnitary,
@@ -80,6 +80,10 @@ _TEXT_ROWS = 32
 # of one entry per basis word is made: 3^11 words (xor --length 11) take about
 # 2 s, 2^18 (identity --cells 18) about 3 s on one core.
 MAX_WORDS = 1 << 18
+# `trotter` refuses a dt with dt * N * ||h|| at or past this: N ||h|| bounds
+# ||H||, and there the phase error eps * dt * ||H|| of exp(-i dt H) reaches
+# one radian.
+MAX_PHASE = 2.0**52
 
 
 @dataclass
@@ -328,6 +332,13 @@ def _run_trotter(cfg: RunConfig) -> int:
         h = random_coupling(2, cfg.seed)
     else:
         raise UsageError("--hamiltonian: must be 'exchange' or 'random'")
+    bound = cells * spectral_norm(h.matrix)
+    for dt in dts:
+        if dt * bound >= MAX_PHASE:
+            raise UsageError(
+                f"--dt: {dt!r} makes dt * cells * ||h|| reach 2^52, "
+                "where the phases carry no correct digit"
+            )
     ring = RingSpace(cells, 2)
     d = cfg.digits
     lines = ["dt,splitting_error,order_estimate"]

@@ -5,9 +5,14 @@ H = sum_x h_x (periodic). Exponentiating h over one time slice yields a
 quiescence-preserving scattering unitary, so the even/odd split evolution
 exp(-i dt H_o) exp(-i dt H_e) *is* a two-phase automaton step, and is built
 as that automaton's composed step; the distance to the exact exp(-i dt H) is
-the second-order splitting error measured here in spectral norm. A run over
-several dt shares one eigendecomposition of H: each exact exp(-i dt H) is
-its eigenvectors scaled by the dt's phases, times their adjoint.
+the second-order splitting error measured here in spectral norm.
+
+H and the split both commute with T^2, the translation by two cells, so
+the error is taken block by block in T^2's momentum sectors: N/2 blocks of
+about d^N / (N/2) rows each, read from the full-size matrices by one gather
+and one FFT. A run over several dt shares one eigendecomposition of each
+block of H: each exact block of exp(-i dt H) is its eigenvectors scaled by
+the dt's phases, times their adjoint.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .operators import (
     HERMITICITY_TOL,
     DenseOperator,
     _eigh_exp,
-    _hermitian_eigh,
     hermitian_exp,
     hermiticity_defect,
     op_at,
@@ -128,26 +132,78 @@ def trotter_pqca(h: TwoCellHamiltonian, dt: float) -> Pqca:
     return Pqca(ScatteringUnitary(h.local_dim, 1, u))
 
 
+def _pair_shift_orbits(ring: RingSpace):
+    """The orbits of T^2, the translation by two cells (one supercell of
+    `regroup_pairs`), on the basis words: each orbit's smallest word r_o,
+    its size p_o, and images[o, m], the index of T^(2m) r_o for m < N/2.
+    T^2 moves the contents of cells 0 and 1, the two most significant
+    digits, to cells N-2 and N-1: a rotation of the index's digits."""
+    q, pair = ring.cell_count // 2, ring.local_dim**2
+    rest = ring.dim // pair
+
+    def shift(w):
+        return w % rest * pair + w // rest
+
+    words = np.arange(ring.dim)
+    lowest, image = words.copy(), words
+    for _ in range(q - 1):
+        image = shift(image)
+        np.minimum(lowest, image, out=lowest)
+    reps = np.flatnonzero(lowest == words)
+    images = np.empty((len(reps), q), dtype=reps.dtype)
+    images[:, 0] = reps
+    for m in range(1, q):
+        images[:, m] = shift(images[:, m - 1])
+    sizes = q // np.count_nonzero(images == reps[:, None], axis=1)
+    return reps, sizes, images
+
+
+def _sector_blocks(x: np.ndarray, orbits) -> list:
+    """The blocks of x, which commutes with T^2, in T^2's momentum sectors
+    k = 0 .. N/2 - 1:
+
+        X_k[o, o'] = sqrt(p_o p_o') ifft_m(x[r_o, T^(2m) r_o'])[k]
+
+    over the orbits o, o' whose sizes p have k p = 0 (mod N/2). That is one
+    gather of R x R x N/2 entries (R orbits) and one FFT; no Fourier matrix
+    and no full-size product is made."""
+    reps, sizes, images = orbits
+    q = images.shape[1]
+    coeffs = np.fft.ifft(x[reps][:, images], axis=2)
+    coeffs *= np.sqrt(np.outer(sizes, sizes))[:, :, None]
+    blocks = []
+    for k in range(q):
+        keep = np.flatnonzero(k * sizes % q == 0)
+        blocks.append(coeffs[keep[:, None], keep, k])
+    return blocks
+
+
 def splitting_error(h: TwoCellHamiltonian, ring: RingSpace, dts) -> list:
     """Spectral-norm distance between exp(-i dt H) and the even/odd split
     exp(-i dt H_o) exp(-i dt H_e), built as the composed step of
     `trotter_pqca(h, dt)`, for each dt of `dts` in order. Second order in
     dt; zero when the parts commute.
 
-    H is built and eigendecomposed once, for all the dts together. Each
-    exact exponential is then the scale-and-product step of `hermitian_exp`
-    on those eigenvectors, so each error is the same float as a call with
-    that dt alone. The eigenvectors are the one full-size array kept from one dt to
-    the next; each dt's split is built before its exact exponential."""
-    w, v = _hermitian_eigh(_ring_hamiltonian(h, ring))
+    Both operators commute with T^2, so their difference is block-diagonal
+    in T^2's momentum sectors and its norm is the largest of the blocks'.
+    H is built once, refused unless Hermitian, and each of its blocks is
+    eigendecomposed once, for all the dts together. Each dt then builds its
+    split, takes that split's blocks, and compares each with the block's
+    eigenvectors scaled by the dt's phases, times their adjoint. Each error
+    is the same float as a call with that dt alone, and within 1e-13 of the
+    full-size difference's norm while dt * N * ||h|| is under about 1000."""
+    total = _ring_hamiltonian(h, ring)
+    defect = hermiticity_defect(total)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    orbits = _pair_shift_orbits(ring)
+    sectors = [np.linalg.eigh(block) for block in _sector_blocks(total, orbits)]
+    del total  # only the blocks' eigenvectors are kept from one dt to the next
 
     def error(dt):
-        # the split's and the difference's arrays die with this frame
         split = composed_step_operator(trotter_pqca(h, dt), ring).matrix
-        diff = _eigh_exp(w, v, dt)
-        diff -= split
-        del split
-        return spectral_norm(diff)
+        blocks = _sector_blocks(split, orbits)
+        return max(spectral_norm(_eigh_exp(w, v, dt) - b) for (w, v), b in zip(sectors, blocks))
 
     return [error(dt) for dt in dts]
 

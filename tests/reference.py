@@ -1,14 +1,26 @@
 """Reference constructions the tests compare the library against: the full
 density matrix of a pure state, its partial trace, product states
 assembled factor by factor, the XOR signalling study through dense
-matrices, and the causality of a basis permutation through its dense 0/1
-matrix."""
+matrices, the causality of a basis permutation through its dense 0/1
+matrix, and the Trotter splitting error from full-size matrices with the
+dense momentum basis that block-diagonalizes them."""
 
 import numpy as np
 
-from qcalab.operators import DenseOperator, DensityMatrix, op_at, reduced_density_from_vector, trace_distance
+from qcalab.operators import (
+    DenseOperator,
+    DensityMatrix,
+    _eigh_exp,
+    _hermitian_eigh,
+    op_at,
+    reduced_density_from_vector,
+    spectral_norm,
+    trace_distance,
+)
+from qcalab.pqca import composed_step_operator
 from qcalab.state import RingSpace
 from qcalab.structure import F_SYM, T_SYM, SignallingReport, causality_check, xor_lifted
+from qcalab.trotter import TwoCellHamiltonian, _ring_hamiltonian, trotter_pqca
 
 
 def density_from_vector(vector: np.ndarray, ring: RingSpace) -> DensityMatrix:
@@ -104,3 +116,58 @@ def dense_permutation_causality(image, cells, local_dim, neighbourhood, *, perio
     """`structure.permutation_causality` as the dense check on the 0/1 matrix."""
     g = permutation_matrix(image, cells, local_dim)
     return causality_check(g, neighbourhood, periodic=periodic)
+
+
+def dense_splitting_error(h: TwoCellHamiltonian, ring: RingSpace, dts) -> list:
+    """Spectral-norm distance between exp(-i dt H) and the even/odd split
+    exp(-i dt H_o) exp(-i dt H_e), built as the composed step of
+    `trotter_pqca(h, dt)`, for each dt of `dts` in order. Second order in
+    dt; zero when the parts commute.
+
+    H is built and eigendecomposed once, for all the dts together. Each
+    exact exponential is then the scale-and-product step of `hermitian_exp`
+    on those eigenvectors, so each error is the same float as a call with
+    that dt alone. The eigenvectors are the one full-size array kept from one dt to
+    the next; each dt's split is built before its exact exponential."""
+    w, v = _hermitian_eigh(_ring_hamiltonian(h, ring))
+
+    def error(dt):
+        # the split's and the difference's arrays die with this frame
+        split = composed_step_operator(trotter_pqca(h, dt), ring).matrix
+        diff = _eigh_exp(w, v, dt)
+        diff -= split
+        del split
+        return spectral_norm(diff)
+
+    return [error(dt) for dt in dts]
+
+
+def momentum_basis(ring: RingSpace):
+    """Dense unitary F whose columns are the momentum states of T^2, the
+    translation that moves the content of cell i+2 to cell i, and the sizes
+    of its sectors. Orbits are walked symbol tuple by symbol tuple. The
+    state of momentum k on the orbit of smallest word r and size p is
+    p^(-1/2) sum_{j<p} e^(2 pi i k j / q) |T^(2j) r>, q = N/2, and it exists
+    when k p = 0 (mod q). Columns run through the sectors k = 0 .. q-1 in
+    turn, each in the order of the orbits' smallest words."""
+    q = ring.cell_count // 2
+    orbits = []
+    for word in range(ring.dim):
+        orbit, symbols = [word], ring.symbols_of(word)
+        while True:
+            symbols = symbols[2:] + symbols[:2]
+            image = ring.index_of(symbols)
+            if image == word:
+                break
+            orbit.append(image)
+        if min(orbit) == word:
+            orbits.append(orbit)
+    columns, sizes = [], []
+    for k in range(q):
+        sector = [orbit for orbit in orbits if k * len(orbit) % q == 0]
+        for orbit in sector:
+            column = np.zeros(ring.dim, dtype=np.complex128)
+            column[orbit] = np.exp(2j * np.pi * k * np.arange(len(orbit)) / q) / np.sqrt(len(orbit))
+            columns.append(column)
+        sizes.append(len(sector))
+    return np.array(columns).T, sizes

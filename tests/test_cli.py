@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,35 @@ class TestTrotterCommand:
         code, _, err = run_cli(["trotter", "--hamiltonian", "ising"], capsys)
         assert code == 2
         assert "--hamiltonian" in err
+
+    @pytest.mark.parametrize(
+        "args,dt",
+        [
+            (["--dt", "1e308"], "1e+308"),
+            (["--dt", "1e300"], "1e+300"),
+            (["--dt", "0.1,1e300"], "1e+300"),
+            # exchange: ||h|| = 1, so 4 cells refuse dt >= 2^50 = 1.126e15
+            (["--dt", "1.2e15"], "1200000000000000.0"),
+            (["--cells", "8", "--dt", "6e14"], "600000000000000.0"),
+            (["--hamiltonian", "random", "--dt", "1e15"], "1000000000000000.0"),
+        ],
+    )
+    def test_phase_past_2_to_52_refused_naming_dt(self, capsys, args, dt):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["trotter", *args], capsys)
+        assert (code, out, caught) == (2, "", [])
+        assert err == (
+            f"usage error: --dt: {dt} makes dt * cells * ||h|| reach 2^52, "
+            "where the phases carry no correct digit\n"
+        )
+
+    def test_phase_under_2_to_52_runs_without_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["trotter", "--dt", "1e15"], capsys)
+        assert (code, err, caught) == (0, "", [])
+        assert out.startswith("dt,splitting_error,order_estimate\n1000000000000000,")
 
 
 class TestQuiescenceCommand:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcalab import trotter
 from qcalab.operators import hermitian_exp, hermiticity_defect, spectral_norm, translation_operator
 from qcalab.pqca import check_quiescence, composed_step_operator, pqca_as_ring_operator
 from qcalab.state import RingSpace
@@ -16,6 +17,7 @@ from qcalab.trotter import (
     trotter_pqca,
     trotter_vs_pqca_crosscheck,
 )
+from reference import dense_splitting_error, momentum_basis
 
 RING4 = RingSpace(4, 2)
 SWAP2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -170,23 +172,29 @@ class TestSplittingError:
             expected = spectral_norm(exact - split)
             assert err == pytest.approx(expected, rel=1e-13)
 
-    def test_one_full_size_eigendecomposition(self, monkeypatch):
+    def test_one_eigendecomposition_per_sector(self, monkeypatch):
         ring = RingSpace(6, 2)
-        sizes = []
+        sizes, svd_sizes = [], []
         eigh = np.linalg.eigh
 
         def counted(m, *args, **kwargs):
             sizes.append(m.shape[0])
             return eigh(m, *args, **kwargs)
 
+        def counted_norm(m):
+            svd_sizes.append(m.shape[0])
+            return spectral_norm(m)
+
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(trotter, "spectral_norm", counted_norm)
         splitting_error(random_coupling(2, 3), ring, [0.1])
-        assert sorted(sizes) == [4, ring.dim]
+        assert sorted(sizes) == [4, 20, 20, 24]
         sizes.clear()
         # one 4x4 decomposition per dt for its scattering unitary, and one
-        # of H shared by all three
+        # per momentum sector of H, shared by all three
         splitting_error(random_coupling(2, 3), ring, [0.1, 0.05, 0.025])
-        assert sorted(sizes) == [4, 4, 4, ring.dim]
+        assert sorted(sizes) == [4, 4, 4, 20, 20, 24]
+        assert len(svd_sizes) == 12 and max(svd_sizes) <= 24
 
     @pytest.mark.parametrize("make", [exchange_coupling, lambda: random_coupling(2, 29)])
     def test_each_error_is_the_one_dt_float(self, make):
@@ -195,15 +203,11 @@ class TestSplittingError:
         assert splitting_error(h, ring, dts) == [splitting_error(h, ring, [dt])[0] for dt in dts]
         assert splitting_error(h, ring, []) == []
 
-    def test_bits_and_peak_at_eight_cells(self):
-        # H is summed alone, in the interleaved order of
-        # build_global_hamiltonian, so the value is the same float as the
-        # reference built from the full sum, under one BLAS thread as under
-        # two; computing it first also warms the process before the peak
-        # is traced
+    def test_reference_and_peak_at_eight_cells(self):
+        # computing the full-size reference first also warms the process
+        # before the peak is traced
         h, ring = random_coupling(2, 1), RingSpace(8, 2)
-        exact = hermitian_exp(build_global_hamiltonian(h, ring).total.matrix, 0.2)
-        expected = spectral_norm(exact - composed_step_operator(trotter_pqca(h, 0.2), ring).matrix)
+        (expected,) = dense_splitting_error(h, ring, [0.2])
         for dts in ([0.2], [0.1, 0.2, 0.05]):
             tracemalloc.start()
             try:
@@ -211,11 +215,61 @@ class TestSplittingError:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert errs[dts.index(0.2)] == expected
-            # H and hermitian_exp's three full-size arrays; with the unused
-            # even and odd sums the peak was 5.4 of them. Across dts only
-            # the eigenvectors are kept, so more dts raise no peak.
+            assert errs[dts.index(0.2)] == pytest.approx(expected, abs=1e-13)
+            # H and its Hermiticity check's two temporaries, or the split
+            # and the composed step's own arrays; across dts only the
+            # sectors' eigenvectors are kept, so more dts raise no peak
             assert peak < 4.5 * ring.dim**2 * 16
+
+
+def diagonal_coupling(d):
+    # diagonal in the product basis, so every term commutes with every other
+    return TwoCellHamiltonian(d, np.diag(np.r_[0.0, 0.37 * np.arange(1, d * d) - 0.1]).astype(complex))
+
+
+def couplings(d):
+    named = [exchange_coupling()] if d == 2 else []
+    return named + [random_coupling(d, seed) for seed in (5, 6, 7)] + [diagonal_coupling(d)]
+
+
+
+class TestMomentumSectors:
+    @pytest.mark.parametrize("cells,d", [(2, 2), (4, 2), (6, 2), (8, 2), (10, 2), (2, 3), (4, 3), (6, 3)])
+    def test_sector_and_full_matrix_errors_agree(self, cells, d):
+        # absolute: at small dt both difference O(1) unitaries, and every
+        # error is at most 2
+        ring = RingSpace(cells, d)
+        dts = [0.0, 0.001, 0.05, 0.2, 0.4]
+        for h in couplings(d):
+            got, want = splitting_error(h, ring, dts), dense_splitting_error(h, ring, dts)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "cells,d,sizes",
+        [(2, 2, [4]), (6, 2, [24, 20, 20]), (8, 2, [70, 60, 66, 60]), (4, 3, [45, 36])],
+    )
+    def test_sector_sizes_are_the_burnside_counts(self, cells, d, sizes):
+        ring = RingSpace(cells, d)
+        blocks = trotter._sector_blocks(np.eye(ring.dim), trotter._pair_shift_orbits(ring))
+        assert [b.shape for b in blocks] == [(s, s) for s in sizes]
+        assert momentum_basis(ring)[1] == sizes
+        assert sum(sizes) == ring.dim
+
+    @pytest.mark.parametrize("cells,d", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 3)])
+    def test_blocks_are_the_diagonal_of_the_dense_basis_change(self, cells, d):
+        ring = RingSpace(cells, d)
+        f, sizes = momentum_basis(ring)
+        assert np.max(np.abs(f.conj().T @ f - np.eye(ring.dim))) <= 1e-13
+        h = random_coupling(d, 4)
+        split = composed_step_operator(trotter_pqca(h, 0.3), ring).matrix
+        orbits = trotter._pair_shift_orbits(ring)
+        for x in (trotter._ring_hamiltonian(h, ring), split):
+            rotated = f.conj().T @ x @ f
+            ends = np.cumsum([0] + sizes)
+            for block, a, b in zip(trotter._sector_blocks(x, orbits), ends, ends[1:]):
+                assert np.max(np.abs(rotated[a:b, a:b] - block)) <= 1e-13
+                rotated[a:b, a:b] = 0.0
+            assert np.max(np.abs(rotated)) <= 1e-13
 
 
 class TestCrosscheck:
