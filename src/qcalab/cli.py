@@ -31,7 +31,7 @@ from .dirac import (
     walk_step,
     walk_vs_engine_crosscheck,
 )
-from .gformat import g_fields
+from .gformat import SLOT_WORDS, ascii_bytes, g_slots, text_words
 from .operators import identity_operator, spectral_norm, unitarity_defect
 from .pqca import (
     Pqca,
@@ -66,16 +66,19 @@ from .trotter import (
 PASS_TOL = 1e-10
 # Largest --grid of walk and converge, checked before anything of grid length
 # is made. The walk keeps six complex128 arrays of grid length alive (the field
-# and the stepper's current and next pairs): 384 MiB at 2^22 sites, with about
-# as much again in the cached x strings of the CSV.
+# and the stepper's current and next pairs): 384 MiB at 2^22 sites, with 96 MiB
+# more in the x column of the CSV.
 MAX_GRID = 1 << 22
 _WALK_ARRAY_BYTES = 6 * 16
-# Rows of walk CSV whose numbers are converted at a time (g_fields), and rows
-# joined and filled into one string at a time: strings of a few kB, which the
-# allocator reuses, where block-sized strings of varying length fragmented
-# the heap and raised the peak RSS by several MB over a run.
+# The walk CSV is written a block at a time. A block's rows are uint64 words:
+# t and ",x" in _TEXT_WORDS words each (at most 23 and 24 bytes, as
+# ",1.2345678901234567e-308"), the five value slots of g_slots and the
+# newline, all NUL-padded; its text is their non-NUL bytes, written in one
+# call. A block holds whole slices of the grid, _CSV_ROWS rows at most, or
+# _CSV_ROWS sites of one slice where the grid is longer. Its buffers take a
+# few hundred kB, which the allocator reuses from block to block.
 _CSV_ROWS = 1024
-_TEXT_ROWS = 32
+_TEXT_WORDS = 3
 # Largest basis of `causality --system xor|identity`, checked before any array
 # of one entry per basis word is made: 3^11 words (xor --length 11) take about
 # 2 s, 2^18 (identity --cells 18) about 3 s on one core.
@@ -106,22 +109,21 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _open_for_writing(flag: str, path: str):
-    """`path` opened for writing; a path that cannot be opened is a usage
-    error naming `flag`. The 64 KB buffer gathers the walk's CSV, written in
-    runs of a few kB, into a write system call per 64 KB where the default
-    8 KB buffer made one per run."""
+def _open_for_writing(flag: str, path: str, binary: bool = False):
+    """`path` opened for writing ASCII text, or bytes; a path that cannot be
+    opened is a usage error naming `flag`."""
     try:
-        return open(path, "w", encoding="ascii", buffering=1 << 16)
+        return open(path, "wb") if binary else open(path, "w", encoding="ascii")
     except OSError as exc:
         raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _open_output(path: str):
-    """`--out`: `path` opened for writing, or stdout (left open) for `-`."""
+def _open_output(path: str, binary: bool = False):
+    """`--out`: `path` opened for writing, or stdout (left open, a text
+    stream) for `-`."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return _open_for_writing("--out", path)
+    return _open_for_writing("--out", path, binary)
 
 
 def _load_unitary_file(path: str):
@@ -264,29 +266,37 @@ def _run_walk(cfg: RunConfig) -> int:
     _check_grid(grid)
     f = _parse_init(p["init"], grid)
     spec = f".{cfg.digits}g"
-    xs = np.array([f",{k * eps:{spec}}" for k in range(grid)], dtype=object)
-    # a block of rows is a table of pieces, a row being t, ",x", the two
-    # pieces of each of its five values (g_fields) and the newline; each
-    # value takes one argument, so any run of rows is filled by one `%`
-    with _open_output(cfg.out) as fh:
-        fh.write("t,x,re_plus,im_plus,re_minus,im_minus,prob\n")
-        for s in range(steps + 1):
-            t = format(s * eps, spec)
-            for lo in range(0, grid, _CSV_ROWS):
-                rows = slice(lo, lo + _CSV_ROWS)
-                pp, pm = f.psi_plus[rows], f.psi_minus[rows]
-                values = np.column_stack((pp.real, pp.imag, pm.real, pm.imag, _probabilities(pp, pm)))
-                pieces, args = g_fields(values, cfg.digits)
-                table = np.empty((len(values), 13), dtype=object)
-                table[:, 0] = t
-                table[:, 1] = xs[rows]
-                table[:, 2:12] = pieces.reshape(len(values), 10)
-                table[:, 12] = "\n"
-                for r in range(0, len(values), _TEXT_ROWS):
-                    text = "".join(table[r : r + _TEXT_ROWS].ravel().tolist())
-                    fh.write(text % tuple(args[5 * r : 5 * (r + _TEXT_ROWS)]))
-            if s < steps:
-                f = walk_step(f, mass, eps)
+    xs = text_words([f",{k * eps:{spec}}" for k in range(grid)], _TEXT_WORDS)
+    per_block = max(1, _CSV_ROWS // grid)
+    width = min(grid, _CSV_ROWS)
+    rows = np.zeros((per_block, width, 2 * _TEXT_WORDS + 5 * SLOT_WORDS + 1), dtype=np.uint64)
+    rows[..., -1] = text_words(["\n"], 1)[0, 0]
+    with _open_output(cfg.out, binary=True) as fh:
+
+        def write(data: np.ndarray):
+            # stdout is a text stream: it gets the same bytes as ASCII text
+            fh.write(data.tobytes().decode("ascii") if cfg.out == "-" else data)
+
+        write(np.frombuffer(b"t,x,re_plus,im_plus,re_minus,im_minus,prob\n", dtype=np.uint8))
+        for first in range(0, steps + 1, per_block):
+            fields = []
+            for s in range(first, min(first + per_block, steps + 1)):
+                fields.append(f)
+                if s < steps:
+                    f = walk_step(f, mass, eps)
+            block = rows[: len(fields)]
+            block[..., :_TEXT_WORDS] = text_words(
+                [format(s * eps, spec) for s in range(first, first + len(fields))], _TEXT_WORDS
+            )[:, None, :]
+            for lo in range(0, grid, width):
+                sites = slice(lo, lo + width)
+                pp = np.array([g.psi_plus[sites] for g in fields])
+                pm = np.array([g.psi_minus[sites] for g in fields])
+                values = np.stack((pp.real, pp.imag, pm.real, pm.imag, _probabilities(pp, pm)), axis=-1)
+                part = block[:, : pp.shape[1]]
+                part[..., _TEXT_WORDS : 2 * _TEXT_WORDS] = xs[sites]
+                part[..., 2 * _TEXT_WORDS : -1] = g_slots(values, cfg.digits).reshape(part.shape[:2] + (-1,))
+                write(ascii_bytes(part))
     if p["dump_state"]:
         with _open_for_writing("--dump-state", p["dump_state"]) as fh:
             fh.write(dump_state(_walk_to_wire_state(f), cfg.digits))
@@ -563,10 +573,10 @@ def _selftest_walk(seed: int):
     yield "one-particle sector matches the block automaton"
     sample = _adversarial_floats(np.random.default_rng(seed), 20000)
     for digits in (17, 3):
-        pieces, args = g_fields(sample, digits)
+        text = ascii_bytes(g_slots(sample, digits)).tobytes().decode("ascii")
         expected = "".join([f",%.{digits}g" % v for v in sample.tolist()])
-        assert "".join(pieces.ravel().tolist()) % tuple(args) == expected, f"CSV numbers differ from %.{digits}g"
-    yield f"CSV numbers equal Python's %.17g and %.3g on {sample.size} adversarial floats"
+        assert text == expected, f"CSV number slots differ from %.{digits}g"
+    yield f"CSV number slots print as Python's %.17g and %.3g on {sample.size} adversarial floats"
 
 
 def _selftest_converge(seed: int):

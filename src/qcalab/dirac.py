@@ -143,8 +143,12 @@ def walk_evolve(f: WalkField, mass: float, eps: float, steps: int) -> WalkField:
         k = min(_HALO, left)
         for a, b in zip(edges, edges[1:]):
             w = b - a + 2 * k
-            if k <= a and b + k <= n:
-                np.copyto(bufs[:2, :w], cur[:, a - k : b + k])
+            if k < n:
+                # the halo wraps past each end of the grid by at most n sites
+                head, tail = max(k - a, 0), max(b + k - n, 0)
+                np.copyto(bufs[:2, :head], cur[:, n - head :])
+                np.copyto(bufs[:2, head : w - tail], cur[:, a - k + head : b + k - tail])
+                np.copyto(bufs[:2, w - tail : w], cur[:, :tail])
             else:
                 np.take(cur, np.arange(a - k, b + k), axis=1, out=bufs[:2, :w], mode="wrap")
             p, m, q, r = bufs[:4, :w]

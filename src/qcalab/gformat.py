@@ -1,14 +1,18 @@
-"""Exact `%.Ng` printing of float64 arrays by scaled integer arithmetic.
+"""Exact `%.Ng` printing of float64 arrays as fixed-width ASCII slots.
 
-`g_fields(values, digits)` returns template pieces and arguments that
-print each value as `',' + '%.{digits}g' % value`, byte for byte, for
-`digits` in 1..17. Python's own float formatting costs about 0.7 us a value
-at 17 digits (its dtoa falls back to bignum arithmetic above 14); here the
-digits come from one long-double product per value, and Python prints only
-a `%d` integer per value into a piece whose sign, lead digit, dot and
-exponent are literal text. Exact fixed-precision conversion by scaled
-integers follows Adams, "Ryu revisited: printf floating point conversion",
-OOPSLA 2019.
+`g_slots(values, digits)` returns, for each value, the text of
+`',' + '%.{digits}g' % value` in a NUL-padded slot of 32 bytes,
+byte for byte, for `digits` in 1..17; `ascii_bytes` keeps the non-NUL bytes
+of any run of slots (or of a larger array that holds them), which is the
+text of the run. Python's own float formatting costs about 0.7 us a value
+at 17 digits (its dtoa falls back to bignum arithmetic above 14). Here the
+digits come from one long-double product per value, and a slot is four
+table words: the sign, lead digit and point (with the zeros of 0.000ddd),
+the digits after the lead as four 4-digit words from a table of 10**4
+entries (trailing zeros NUL in the last nonzero one), and the exponent.
+Values that cannot be certified this way are printed by Python's `%` into
+their slots. Exact fixed-precision conversion by scaled integers follows
+Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019.
 """
 
 from __future__ import annotations
@@ -24,10 +28,47 @@ _XMIN, _XMAX = -324, 308
 # correction either side.
 _QMIN, _QMAX = (1 - 1 - _XMAX) - 1, (17 - 1 - _XMIN) + 1
 _P10 = 10 ** np.arange(18, dtype=np.int64)
-# Lead-digit pieces "{L}.%0{j}d" for j = 1..16 follow the 14 fixed codes.
-_LEAD_PADDED = 14
-_CODES_PER_SIGN = _LEAD_PADDED + 9 * 16
-_TAILS = 2 * _CODES_PER_SIGN
+# A slot is four uint64 words: head, two words of digits, exponent. The
+# longest text, ",-1.2345678901234567e-308", takes 25 of its 32 bytes.
+SLOT_WORDS = 4
+
+
+def text_words(texts, words: int) -> np.ndarray:
+    """ASCII `texts`, each NUL-padded to `words` uint64 words, as an array
+    of shape (len(texts), words). Bytes go in and out in one order, so no
+    byte order enters any slot."""
+    data = [t.encode("ascii") for t in texts]
+    if data and max(map(len, data)) > 8 * words:
+        raise ValueError(f"text longer than {8 * words} bytes")
+    return np.array(data, dtype=f"S{8 * words}").view(np.uint64).reshape(len(data), words)
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heads by 108 sign + 12 (L - 1) + 2 min(-X, 5) + (no digit after L),
+    where X < -4 and X >= 0 print "L." or "L" and -4 <= X <= -1 "0.000L" ..
+    "0.L", then ",0" and ",-0" at 216 + sign; the 4-digit words of
+    0..9999, then the same with trailing zeros NUL ("0500" -> "05", "0000"
+    -> ""); exponents by X - _XMIN + 1, with "" at 0."""
+
+    def head(sign, lead, clipped, last):
+        if 1 <= clipped <= 4:
+            return f"{sign}0.{'0' * (clipped - 1)}{lead}"
+        return f"{sign}{lead}" + ("" if last else ".")
+
+    heads = [
+        head(sign, lead, clipped, last)
+        for sign in (",", ",-")
+        for lead in range(1, 10)
+        for clipped in range(6)
+        for last in (False, True)
+    ] + [",0", ",-0"]
+    places = np.array([1000, 100, 10, 1], dtype=np.int16)
+    quads = (np.arange(10**4, dtype=np.int16)[:, None] // places % 10).astype(np.uint8) + ord("0")
+    trailing = np.logical_and.accumulate(quads[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    quads = np.concatenate((quads, np.where(trailing, np.uint8(0), quads)))
+    exps = [""] + [f"e{x:+03d}" for x in range(_XMIN, _XMAX + 1)]
+    return text_words(heads, 1)[:, 0], quads.view(np.uint32)[:, 0], text_words(exps, 1)[:, 0]
 
 
 def _longdouble(numer: int, denom: int) -> tuple[np.longdouble, bool]:
@@ -61,28 +102,9 @@ def _scales() -> tuple[np.ndarray, np.ndarray]:
     return scales, bounds
 
 
-@functools.cache
-def _pieces() -> np.ndarray:
-    """Every piece a value may print through, by code.
-
-    Heads hold the value's one `%d` conversion; per sign, code 0 is "%d",
-    1..4 are "0.%d" .. "0.000%d", 4 + L is "{L}.%d" and
-    _LEAD_PADDED + 16 (L - 1) + j - 1 is "{L}.%0{j}d" (sign "," or ",-").
-    Tails follow the heads: _TAILS is "" and _TAILS + 1 + X - _XMIN is
-    "e{X:+03d}".
-    """
-    pieces = []
-    for sign in (",", ",-"):
-        pieces += [sign + "%d"] + [f"{sign}0.{'0' * z}%d" for z in range(4)]
-        pieces += [f"{sign}{lead}.%d" for lead in range(1, 10)]
-        pieces += [f"{sign}{lead}.%0{j}d" for lead in range(1, 10) for j in range(1, 17)]
-    pieces += [""] + [f"e{x:+03d}" for x in range(_XMIN, _XMAX + 1)]
-    return np.array(pieces, dtype=object)
-
-
 def _rounded(x: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `digits`-digit integer n and decimal exponent X with |x| rounded
-    to n 10**(X - digits + 1), and where that is certified (see g_fields)."""
+    to n 10**(X - digits + 1), and where that is certified (see g_slots)."""
     low, high = _P10[digits - 1], _P10[digits]
     ax = np.abs(x)
     ok = (ax > 0) & (ax < np.inf)
@@ -114,65 +136,55 @@ def _rounded(x: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return n, exps, ok
 
 
-def _strip_zeros(n: np.ndarray) -> np.ndarray:
-    """Remove the trailing decimal zeros of each n > 0 in place (at most 16)
-    and return how many there were."""
-    zeros = np.zeros_like(n)
-    idx = np.flatnonzero(n % 10 == 0)
-    if idx.size:
-        m, z = n[idx] // 10, np.ones_like(idx)
-        for step in (8, 4, 2, 1):
-            div = m % _P10[step] == 0
-            m = np.where(div, m // _P10[step], m)
-            z += step * div
-        n[idx], zeros[idx] = m, z
-    return zeros
-
-
-def _layout(x: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Head code, tail code and `%d` argument of each value, and the indices
-    of the values left to Python."""
+def _layout(x: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of the flat array `x`, as uint64 words (x.size, SLOT_WORDS),
+    and the indices of the values left to Python, whose slots are unset."""
     n, exps, ok = _rounded(x, digits)
-    rest_digits = digits - 1 - _strip_zeros(n)
     sci = (exps < -4) | (exps >= digits)
-    # "{L}.{rest}" for scientific values and for 1 <= |x| < 10, "%d" for one digit
-    scale = _P10[rest_digits]
-    lead = n // scale
-    rest = n - lead * scale
-    head = np.where(10 * rest >= scale, 4 + lead, _LEAD_PADDED + 16 * (lead - 1) + rest_digits - 1)
-    single = rest_digits == 0
-    head[single] = 0
-    arg = np.where(single, n, rest)
-    # "0.{zeros}%d" for -4 <= X < 0
-    idx = np.flatnonzero(~sci & (exps < 0))
-    head[idx] = -exps[idx]
-    arg[idx] = n[idx]
-    # "%d" for integers 10 <= |x| < 10**digits; the rest of that decade to Python
-    idx = np.flatnonzero(~sci & (exps > 0))
-    shift = exps[idx] - rest_digits[idx]
-    ok[idx[shift < 0]] = False
-    head[idx] = 0
-    arg[idx] = n[idx] * _P10[np.maximum(shift, 0)]
-    head += np.signbit(x) * _CODES_PER_SIGN
-    tail = np.where(sci, _TAILS + 1 + exps - _XMIN, _TAILS)
-    # codes in range for the values left to Python, whose head g_fields replaces
-    bad = np.flatnonzero(~ok)
-    head[bad] = 0
-    tail[bad] = _TAILS
-    return head, tail, arg, bad
+    # fixed notation from 10 up ("%d"-like integers) is left to Python
+    ok &= sci | (exps <= 0)
+    lead = n // _P10[digits - 1]
+    # the digits after the lead, left-aligned in 16 places
+    rest = n - lead * _P10[digits - 1]
+    rest *= _P10[17 - digits]
+    # zeros print as ",0" or ",-0": a head and no digits
+    zeros = np.flatnonzero(x == 0)
+    rest[zeros] = 0
+    ok[zeros] = True
+    heads, quad_words, exp_words = _tables()
+    slots = np.empty((x.size, SLOT_WORDS), dtype=np.uint64)
+    # head code: sign, lead, -X clipped to 0..5 (1..4 are 0.000L .. 0.L,
+    # read only in fixed notation) and whether any digit follows the lead
+    code = np.signbit(x) * 108 + (lead - 1) * 12 + np.clip(-exps, 0, 5) * 2 + (rest == 0)
+    code[zeros] = 216 + np.signbit(x[zeros])
+    slots[:, 0] = heads[code]
+    # four 4-digit words; from the last nonzero one on, trailing zeros are NUL
+    quads = np.empty((4, x.size), dtype=np.int64)
+    high = rest // 10**8
+    low = rest - high * 10**8
+    for k, part in ((0, high), (2, low)):
+        np.floor_divide(part, 10**4, out=quads[k])
+        np.multiply(quads[k], -(10**4), out=quads[k + 1])
+        quads[k + 1] += part
+    trim = np.full(x.size, 10**4, dtype=np.int64)
+    for quad in quads[::-1]:
+        quad += trim
+        trim *= quad == 10**4
+    slots[:, 1:3].view(np.uint32)[...] = quad_words[quads.T]
+    exp_code = exps - (_XMIN - 1)
+    exp_code *= sci
+    slots[:, 3] = exp_words[exp_code]
+    return slots, np.flatnonzero(~ok)
 
 
-def g_fields(values: np.ndarray, digits: int) -> tuple[np.ndarray, list]:
-    """Pieces and arguments that print `values` as `%.{digits}g` would.
+def g_slots(values: np.ndarray, digits: int) -> np.ndarray:
+    """The text `",%.{digits}g" % v` of each of `values` in a NUL-padded
+    slot, as uint64 words of shape `values.shape + (SLOT_WORDS,)`.
 
-    Returns `(pieces, args)`. `pieces` has shape `values.shape + (2,)` and
-    holds str; `args` has one entry per value, in order. Each value's two
-    pieces hold one conversion, so `"".join(pieces.ravel().tolist()) %
-    tuple(args)` equals `"".join(",%.{digits}g" % v for v in
-    values.ravel())`, and so does any run of whole values of both. Most
-    values print as an int through a piece whose sign, lead digit, dot and
-    exponent are literal text, as `,-3.%d` with `e-05`; the rest print as
-    the float itself through `,%.{digits}g`, which is Python's own `%`.
+    `ascii_bytes` of the slots of any run of values equals
+    `"".join(",%.{digits}g" % v for v in run)`, encoded. Most values fill
+    their slot from tables, as `,-3.` + `1415 9265 3589 793` + `e-05`; the
+    rest are printed by Python's own `%` into their slots.
 
     Exactness. For a finite nonzero x the decimal exponent X = floor(log10
     |x|) comes from float64 `log10`, corrected by one step where the scaled
@@ -193,18 +205,23 @@ def g_fields(values: np.ndarray, digits: int) -> tuple[np.ndarray, list]:
       double (u = 2**-53) gives windows of up to 0.11 or 0.22 at 15 digits
       and over 1/2 for most values from 16 digits up, which sends them to
       Python: the same code and the same bytes, only slower;
-    - zeros, infinities and NaN;
-    - values of 10 or more that print with a fractional part, whose integer
-      part would be more than one literal digit (none in the walk, whose
-      amplitudes and probabilities lie within [-1, 1]).
+    - infinities and NaN (zeros print from the table, as ",0" or ",-0");
+    - values of 10 or more that print in fixed notation, as integers or
+      with a fractional part (none in the walk, whose amplitudes and
+      probabilities lie within [-1, 1]).
     On the walk_trace benchmark workload (512 sites, 401 slices, 17 digits)
-    0.44% to 0.53% of values take the Python path over seeds 101-110, of
-    which 0.10% are zeros.
+    0.34% to 0.43% of values take the Python path over seeds 101-110.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    head, tail, arg, bad = _layout(x, digits)
-    pieces = _pieces()[np.column_stack((head, tail))]
-    pieces[bad, 0] = f",%.{digits}g"
-    args = arg.astype(object)
-    args[bad] = x[bad]
-    return pieces.reshape(np.shape(values) + (2,)), args.tolist()
+    slots, bad = _layout(x, digits)
+    if bad.size:
+        template = f",%.{digits}g"
+        texts = [template % v for v in x[bad].tolist()]
+        slots[bad] = text_words(texts, SLOT_WORDS)
+    return slots.reshape(np.shape(values) + (SLOT_WORDS,))
+
+
+def ascii_bytes(words: np.ndarray) -> np.ndarray:
+    """The non-NUL bytes of `words` in memory order, as a uint8 array."""
+    flat = np.ascontiguousarray(words).view(np.uint8).ravel()
+    return flat[flat != 0]

@@ -68,15 +68,19 @@ def xor_plus(a: int, b: int) -> int:
     return T_SYM if bit else F_SYM
 
 
-def xor_window_step(symbols: tuple) -> tuple:
+# xor_plus(a, b) at 3 a + b, for a, b in {EMPTY, T_SYM, F_SYM}
+_XOR_TABLE = np.array([xor_plus(a, b) for a in range(3) for b in range(3)], dtype=np.uint8)
+
+
+def xor_window_step(symbols) -> np.ndarray:
     """One step of the classical rule on a fixed-length window, empty
     outside: the new value at i is c_i + c_{i+1}. The support never grows
     (the rightmost symbol combines with empty and is kept; empty cells stay
-    empty)."""
-    n = len(symbols)
-    return tuple(
-        xor_plus(symbols[i], symbols[i + 1] if i + 1 < n else EMPTY) for i in range(n)
-    )
+    empty). `symbols` is a word or an array of words along its last axis."""
+    symbols = np.asarray(symbols)
+    pairs = 3 * symbols
+    pairs[..., :-1] += symbols[..., 1:]
+    return _XOR_TABLE[pairs]
 
 
 def lift_classical(step, window_length: int, alphabet_size: int = 3) -> np.ndarray:
@@ -84,29 +88,42 @@ def lift_classical(step, window_length: int, alphabet_size: int = 3) -> np.ndarr
     the basis permutation it is: entry i is the index of step(c) for the
     word c of index i (cell 0 most significant).
 
-    Brute-forces all alphabet_size**window_length window words, indexing
-    them by mixed-radix arithmetic, so no dense cap applies; a
-    non-injective step is rejected with a colliding pair of words (the
-    expected failure mode for steps that lose information off a boundary).
+    `step` maps an array of words, one per row, to their images. It is
+    called once on all alphabet_size**window_length window words, indexed by
+    mixed-radix arithmetic, so no dense cap applies; the words are bytes
+    where the alphabet allows. A non-injective step is rejected with its
+    first colliding pair of words in word order (the expected failure mode
+    for steps that lose information off a boundary).
     """
     n, d = window_length, alphabet_size
-    image = np.empty(d**n, dtype=np.intp)
-    source = np.full(d**n, -1, dtype=np.intp)  # the word mapped to each index
-    for index, word in enumerate(itertools.product(range(d), repeat=n)):
-        stepped = tuple(step(word))
-        if len(stepped) != n or not all(0 <= s < d for s in stepped):
-            raise ValueError(f"step image {stepped} leaves the window basis")
-        target = 0
-        for s in stepped:
-            target = target * d + int(s)
-        if source[target] >= 0:
-            first = tuple(int(s) for s in np.unravel_index(source[target], (d,) * n))
-            raise ValueError(
-                f"step is not injective over the window: {first} and {word} "
-                f"both map to {stepped}"
-            )
-        source[target] = index
-        image[index] = target
+    index = np.arange(d**n, dtype=np.intp)
+    words = np.empty((d**n, n), dtype=np.min_scalar_type(d - 1))
+    for i in range(n):
+        words[:, i] = index // d ** (n - 1 - i) % d
+    stepped = np.asarray(step(words))
+
+    def word(row) -> tuple:
+        return tuple(int(s) for s in row)
+
+    if stepped.shape != words.shape:
+        raise ValueError(f"step image of shape {stepped.shape} leaves the window basis of shape {words.shape}")
+    outside = np.flatnonzero(((stepped < 0) | (stepped >= d)).any(axis=1))
+    if outside.size:
+        raise ValueError(f"step image {word(stepped[outside[0]])} leaves the window basis")
+    image = np.zeros(d**n, dtype=np.intp)
+    for i in range(n):
+        image *= d
+        image += stepped[:, i]
+    # the first word whose image an earlier word already has
+    order = np.argsort(image, kind="stable")
+    repeats = order[1:][image[order[1:]] == image[order[:-1]]]
+    if repeats.size:
+        later = repeats.min()
+        first = np.flatnonzero(image == image[later])[0]
+        raise ValueError(
+            f"step is not injective over the window: {word(words[first])} and {word(words[later])} "
+            f"both map to {word(stepped[later])}"
+        )
     return image
 
 

@@ -1,9 +1,11 @@
 """Reference constructions the tests compare the library against: the full
 density matrix of a pure state, its partial trace, product states
-assembled factor by factor, the XOR signalling study through dense
-matrices, the causality of a basis permutation through its dense 0/1
+assembled factor by factor, the XOR rule and its lifting one word at a
+time, the XOR signalling study through dense matrices, the causality of a basis permutation through its dense 0/1
 matrix, and the Trotter splitting error from full-size matrices with the
 dense momentum basis that block-diagonalizes them."""
+
+import itertools
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from qcalab.operators import (
 )
 from qcalab.pqca import composed_step_operator
 from qcalab.state import RingSpace
-from qcalab.structure import F_SYM, T_SYM, SignallingReport, causality_check, xor_lifted
+from qcalab.structure import EMPTY, F_SYM, T_SYM, SignallingReport, causality_check, xor_lifted, xor_plus
 from qcalab.trotter import TwoCellHamiltonian, _ring_hamiltonian, trotter_pqca
 
 
@@ -73,6 +75,24 @@ def tensor_state(ring: RingSpace, factors) -> np.ndarray:
         raise ValueError(f"factors do not partition the register: {sorted(cells_order)}")
     src = [cells_order.index(c) for c in range(ring.cell_count)]
     return full.reshape([d] * ring.cell_count).transpose(src).reshape(-1)
+
+
+def xor_word_step(symbols: tuple) -> tuple:
+    """The XOR rule on one window word, symbol by symbol with `xor_plus`."""
+    n = len(symbols)
+    return tuple(xor_plus(symbols[i], symbols[i + 1] if i + 1 < n else EMPTY) for i in range(n))
+
+
+def word_by_word_lift(step, window_length: int, alphabet_size: int = 3) -> np.ndarray:
+    """The index map of a word step, one word (a tuple) at a time."""
+    d = alphabet_size
+    image = np.empty(d**window_length, dtype=np.intp)
+    for index, word in enumerate(itertools.product(range(d), repeat=window_length)):
+        target = 0
+        for s in step(word):
+            target = target * d + s
+        image[index] = target
+    return image
 
 
 def dense_signalling_demo(length: int) -> SignallingReport:

@@ -192,11 +192,13 @@ class TestWalkCsvBytes:
         assert code == 0
         assert out == reference_walk_csv(0.7, 0.15, 12, gaussian_field(48, 20.5, 3.0, 2, "plus"), 17)
 
-    @pytest.mark.parametrize("grid", [2, 64, 1022, 1024, 1026, 2500])
+    @pytest.mark.parametrize("grid", [2, 64, 340, 512, 1022, 1024, 1026, 2500])
     def test_grids_against_the_block(self, capsys, grid):
-        # smaller than a block of _CSV_ROWS = 1024 rows, equal to it, and not a
-        # multiple of it (runs of _TEXT_ROWS rows cut every block)
-        assert (cli._CSV_ROWS, cli._TEXT_ROWS) == (1024, 32)
+        # a block of _CSV_ROWS = 1024 rows holds 512, 16, 3 or 2 whole slices
+        # (of the 3 slices: a short block, a full one, or a full one and a
+        # short one), or one slice of 1022 or 1024 rows, or cuts a slice of
+        # 1026 or 2500 rows into blocks of 1024 and a short last one
+        assert cli._CSV_ROWS == 1024
         code, out, _ = run_cli(
             ["walk", "--mass", "0.7", "--epsilon", "0.05", "--steps", "2", "--grid", str(grid),
              "--init", f"gauss:{grid / 3}:{grid / 10}:3"],
@@ -205,11 +207,12 @@ class TestWalkCsvBytes:
         assert code == 0
         assert out == reference_walk_csv(0.7, 0.05, 2, gaussian_field(grid, grid / 3, grid / 10, 3, "plus"), 17)
 
-    @pytest.mark.parametrize("rows, text_rows", [(16, 5), (16, 16), (7, 32)])
+    @pytest.mark.parametrize("rows", [5, 7, 16, 40, 80])
     @pytest.mark.parametrize("grid", [10, 16, 40])
-    def test_small_blocks_and_runs(self, capsys, monkeypatch, rows, text_rows, grid):
+    def test_small_blocks(self, capsys, monkeypatch, rows, grid):
+        # slices cut into blocks, one slice a block, and blocks of 2 to 8
+        # whole slices with a short last block
         monkeypatch.setattr(cli, "_CSV_ROWS", rows)
-        monkeypatch.setattr(cli, "_TEXT_ROWS", text_rows)
         code, out, _ = run_cli(
             ["walk", "--mass", "0.7", "--epsilon", "0.15", "--steps", "5", "--grid", str(grid),
              "--init", "delta:3"],

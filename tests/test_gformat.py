@@ -1,4 +1,4 @@
-"""g_fields against Python's own `%.Ng`, value by value."""
+"""g_slots against Python's own `%.Ng`, value by value."""
 
 from fractions import Fraction
 
@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalab import gformat
-from qcalab.gformat import g_fields
+from qcalab.gformat import SLOT_WORDS, ascii_bytes, g_slots, text_words
 
 DIGITS = range(1, 18)
 
 
 def printed(values, digits):
-    pieces, args = g_fields(np.asarray(values, dtype=np.float64), digits)
-    return "".join(pieces.ravel().tolist()) % tuple(args)
+    slots = g_slots(np.asarray(values, dtype=np.float64), digits)
+    return ascii_bytes(slots).tobytes().decode("ascii")
+
+
+def python_path(values, digits):
+    """The indices of the values that g_slots leaves to Python's `%`."""
+    return gformat._layout(np.asarray(values, dtype=np.float64).ravel(), digits)[1]
 
 
 def reference(values, digits):
@@ -95,30 +100,57 @@ def test_shape_and_runs_of_values():
     rng = np.random.default_rng(7)
     values = rng.normal(size=(30, 5)) * 10.0 ** rng.integers(-12, 3, size=(30, 5))
     values[3, 2] = 0.0
-    pieces, args = g_fields(values, 17)
-    assert pieces.shape == (30, 5, 2)
-    assert len(args) == values.size
-    flat = pieces.reshape(-1, 2)
+    slots = g_slots(values, 17)
+    assert slots.shape == (30, 5, SLOT_WORDS) and slots.dtype == np.uint64
+    flat = slots.reshape(-1, SLOT_WORDS)
     for lo, hi in [(0, 150), (7, 8), (15, 40), (149, 150)]:
-        run = "".join(flat[lo:hi].ravel().tolist()) % tuple(args[lo:hi])
+        run = ascii_bytes(flat[lo:hi]).tobytes().decode("ascii")
         assert run == reference(values.ravel()[lo:hi], 17)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_python_values_inside_a_block(digits):
+    # signed zeros (from the table), a tie at 2 digits, an infinity and an
+    # integer of 10 or more (fixed notation from 4 digits up), between values
+    # the tables print, in the middle of a block of walk-sized rows
+    rng = np.random.default_rng(digits)
+    values = rng.normal(size=(1024, 5)) * 10.0 ** rng.integers(-8, 0, size=(1024, 5))
+    values[500] = [0.0, -0.0, 0.125, -np.inf, 1234.0]
+    expected = {3} | ({2} if digits == 2 else set()) | ({4} if digits >= 4 else set())
+    assert set(python_path(values[500], digits)) == expected
+    assert not set(python_path(values, digits)) & set(range(5 * 499, 5 * 500))
+    assert printed(values, digits) == reference(values, digits)
 
 
 def test_most_walk_like_values_skip_python():
     rng = np.random.default_rng(3)
     values = rng.normal(size=20000) * 10.0 ** rng.integers(-40, 0, size=20000)
-    pieces, _ = g_fields(values, 17)
-    assert np.mean(pieces[:, 0] == ",%.17g") < 0.02
+    assert python_path(values, 17).size / values.size < 0.02
+
+
+def test_text_words_pads_with_nul_and_refuses_overflow():
+    words = text_words(["t,x", "", "12345678"], 1)
+    assert words.shape == (3, 1)
+    assert ascii_bytes(words).tobytes() == b"t,x12345678"
+    assert words.view(np.uint8).ravel().tolist().count(0) == 5 + 8
+    with pytest.raises(ValueError, match="longer than 8 bytes"):
+        text_words(["123456789"], 1)
+
+
+def test_ascii_bytes_keeps_memory_order_of_a_strided_view():
+    rows = text_words(["a", "bc", "d", "ef"], 1).reshape(2, 2)
+    assert ascii_bytes(rows).tobytes() == b"abcdef"
+    assert ascii_bytes(rows[:, ::-1]).tobytes() == b"bcaefd"
 
 
 @pytest.mark.parametrize("digits", [3, 17])
 def test_a_window_over_one_half_sends_everything_to_python(monkeypatch, digits):
-    # as on a long double no wider than binary64, from 16 digits up
+    # as on a long double no wider than binary64, from 16 digits up; only
+    # the signed zeros, which need no rounding, stay with the tables
     scales, bounds = gformat._scales()
     monkeypatch.setattr(gformat, "_scales", lambda: (scales, np.ones_like(bounds)))
     values = np.concatenate((powers_of_ten(), decimal_ties()[:500], EXTREMES))
-    pieces, args = g_fields(values, digits)
-    assert set(pieces[:, 0].tolist()) == {f",%.{digits}g"}
+    assert np.array_equal(python_path(values, digits), np.flatnonzero(values != 0))
     assert printed(values, digits) == reference(values, digits)
 
 

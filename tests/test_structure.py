@@ -48,6 +48,8 @@ from reference import (
     density_from_vector,
     partial_trace,
     tensor_state,
+    word_by_word_lift,
+    xor_word_step,
 )
 
 
@@ -76,16 +78,16 @@ class TestXorRule:
         assert xor_plus(a, b) == expected
 
     def test_all_f_word_is_fixed(self):
-        assert xor_window_step((F_SYM,) * 4) == (F_SYM,) * 4
+        assert tuple(xor_window_step((F_SYM,) * 4)) == (F_SYM,) * 4
 
     def test_all_t_word_collapses_to_the_f_image(self):
-        assert xor_window_step((T_SYM,) * 4) == (F_SYM, F_SYM, F_SYM, T_SYM)
+        assert tuple(xor_window_step((T_SYM,) * 4)) == (F_SYM, F_SYM, F_SYM, T_SYM)
 
     def test_lone_t_survives_in_place(self):
-        assert xor_window_step((T_SYM,)) == (T_SYM,)
+        assert tuple(xor_window_step((T_SYM,))) == (T_SYM,)
 
     def test_word_with_gap(self):
-        assert xor_window_step((T_SYM, EMPTY, T_SYM)) == (T_SYM, EMPTY, T_SYM)
+        assert tuple(xor_window_step((T_SYM, EMPTY, T_SYM))) == (T_SYM, EMPTY, T_SYM)
 
     def test_support_never_grows(self):
         rng = np.random.default_rng(0)
@@ -97,7 +99,33 @@ class TestXorRule:
             assert occupied_after <= occupied
 
 
+    def test_array_of_words_steps_row_by_row(self):
+        words = np.random.default_rng(2).integers(0, 3, size=(200, 6))
+        stepped = xor_window_step(words)
+        assert stepped.shape == words.shape
+        assert [tuple(row) for row in stepped] == [xor_word_step(tuple(row)) for row in words]
+
+
 class TestLifting:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7])
+    def test_xor_lift_equals_the_word_by_word_lift(self, length):
+        assert np.array_equal(lift_classical(xor_window_step, length), word_by_word_lift(xor_word_step, length))
+
+    def test_random_permutation_of_words(self):
+        # a step that is any permutation of the 2^5 words, not a local rule
+        perm = np.random.default_rng(4).permutation(2**5)
+        weights = 2 ** np.arange(4, -1, -1)
+
+        def step(words):
+            return perm[words @ weights][:, None] // weights % 2
+
+        assert np.array_equal(lift_classical(step, 5, 2), perm)
+
+    def test_symbol_outside_the_alphabet_named(self):
+        with pytest.raises(ValueError) as err:
+            lift_classical(lambda w: 2 * w, 2)
+        assert str(err.value) == "step image (0, 4) leaves the window basis"
+
     def test_identity_step(self):
         image = lift_classical(lambda w: w, 3)
         assert np.array_equal(image, np.arange(27))
@@ -111,7 +139,7 @@ class TestLifting:
 
     def test_left_shift_rejected_with_colliding_pair(self):
         def shift_left(w):
-            return w[1:] + (0,)
+            return np.column_stack((w[:, 1:], np.zeros(len(w), dtype=int)))
 
         with pytest.raises(ValueError, match="not injective") as err:
             lift_classical(shift_left, 3)
@@ -119,7 +147,7 @@ class TestLifting:
 
     def test_colliding_pair_is_the_first_in_word_order(self):
         with pytest.raises(ValueError) as err:
-            lift_classical(lambda w: w[1:] + (0,), 3)
+            lift_classical(lambda w: np.column_stack((w[:, 1:], np.zeros(len(w), dtype=int))), 3)
         assert str(err.value) == (
             "step is not injective over the window: (0, 0, 0) and (1, 0, 0) both map to (0, 0, 0)"
         )
@@ -130,7 +158,7 @@ class TestLifting:
 
     def test_step_leaving_basis_rejected(self):
         with pytest.raises(ValueError, match="leaves the window"):
-            lift_classical(lambda w: w + (0,), 2)
+            lift_classical(lambda w: np.column_stack((w, np.zeros(len(w), dtype=int))), 2)
 
     def test_lifting_matches_word_step(self):
         lifted = xor_lifted(4)
