@@ -27,6 +27,7 @@ from .dirac import (
     dirac_plane_wave,
     dirac_scattering_unitary,
     gaussian_field,
+    step_count,
     walk_evolve,
     walk_step,
     walk_vs_engine_crosscheck,
@@ -69,6 +70,9 @@ PASS_TOL = 1e-10
 # and the stepper's current and next pairs): 384 MiB at 2^22 sites, with 96 MiB
 # more in the x column of the CSV.
 MAX_GRID = 1 << 22
+# Largest grid x steps count of site-steps one walk or converge run may take,
+# checked before any step: about a minute at ~3.5 ns per site-step.
+MAX_SITE_STEPS = 1 << 34
 _WALK_ARRAY_BYTES = 6 * 16
 # The walk CSV is written a block at a time. A block's rows are uint64 words:
 # t and ",x" in _TEXT_WORDS words each (at most 23 and 24 bytes, as
@@ -211,6 +215,15 @@ def _check_grid(grid: int):
         )
 
 
+def _check_site_steps(flag: str, steps: int, grid: int):
+    """`steps` walk steps on `grid` sites, refused over MAX_SITE_STEPS."""
+    if steps * grid > MAX_SITE_STEPS:
+        raise UsageError(
+            f"{flag}: {steps} steps on {grid} sites make {steps * grid} site-steps, "
+            f"over the limit of {MAX_SITE_STEPS}"
+        )
+
+
 def _over_cap(base: int, count: int, cap: int = MAX_DENSE_DIM) -> bool:
     """Whether base**count basis states exceed `cap`. It compares
     logarithms, so a huge count builds no huge integer."""
@@ -264,6 +277,7 @@ def _run_walk(cfg: RunConfig) -> int:
     if steps < 0:
         raise UsageError("--steps: must be >= 0")
     _check_grid(grid)
+    _check_site_steps("--steps", steps, grid)
     f = _parse_init(p["init"], grid)
     spec = f".{cfg.digits}g"
     xs = text_words([f",{k * eps:{spec}}" for k in range(grid)], _TEXT_WORDS)
@@ -313,6 +327,11 @@ def _run_converge(cfg: RunConfig) -> int:
     eps_list = p["eps"]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise UsageError("--eps: list must be strictly decreasing")
+    steps = 0
+    for eps in eps_list:
+        with contextlib.suppress(ValueError):  # the study skips this eps
+            steps += step_count(p["time"], eps)
+    _check_site_steps("--time/--eps", steps, p["grid"])
     result = convergence_study(p["mass"], p["mode"], p["time"], eps_list, p["grid"])
     d = cfg.digits
     lines = ["epsilon,l2_error,local_order"]

@@ -225,6 +225,18 @@ class ConvergenceResult:
     skipped: tuple  # (eps, reason) pairs
 
 
+def step_count(total_time: float, eps: float) -> int:
+    """total_time / eps as a whole number of walk steps, within 1e-9. A
+    ValueError gives the reason there is none: eps is not positive, or the
+    quotient is not an integer (an infinite one included)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    n_exact = total_time / eps
+    if not math.isfinite(n_exact) or abs(n_exact - round(n_exact)) > 1e-9:
+        raise ValueError(f"total_time/eps = {n_exact} is not an integer")
+    return round(n_exact)
+
+
 def convergence_study(
     mass: float,
     mode: int,
@@ -253,13 +265,10 @@ def convergence_study(
     rows = []
     skipped = []
     for eps in eps_list:
-        if eps <= 0:
-            skipped.append((eps, "eps must be positive"))
-            continue
-        n_exact = total_time / eps
-        n_steps = round(n_exact)
-        if abs(n_exact - n_steps) > 1e-9:
-            skipped.append((eps, f"total_time/eps = {n_exact} is not an integer"))
+        try:
+            n_steps = step_count(total_time, eps)
+        except ValueError as exc:
+            skipped.append((eps, str(exc)))
             continue
         k = 2 * math.pi * mode / (grid_size * eps)
         init = dirac_plane_wave(k, mass, 0.0, grid_size, eps)

@@ -22,7 +22,7 @@ from qcalab.operators import (
 from qcalab.pqca import composed_step_operator
 from qcalab.state import RingSpace
 from qcalab.structure import EMPTY, F_SYM, T_SYM, SignallingReport, causality_check, xor_lifted, xor_plus
-from qcalab.trotter import TwoCellHamiltonian, _ring_hamiltonian, trotter_pqca
+from qcalab.trotter import TwoCellHamiltonian, _coupling_terms, trotter_pqca
 
 
 def density_from_vector(vector: np.ndarray, ring: RingSpace) -> DensityMatrix:
@@ -136,6 +136,16 @@ def dense_permutation_causality(image, cells, local_dim, neighbourhood, *, perio
     """`structure.permutation_causality` as the dense check on the 0/1 matrix."""
     g = permutation_matrix(image, cells, local_dim)
     return causality_check(g, neighbourhood, periodic=periodic)
+
+
+def _ring_hamiltonian(h: TwoCellHamiltonian, ring: RingSpace) -> np.ndarray:
+    """H = sum_x h_x alone, summed in increasing x as in
+    `build_global_hamiltonian`, so the two totals are the same bits."""
+    terms = _coupling_terms(h, ring)
+    total = np.zeros((ring.dim, ring.dim), dtype=np.complex128)
+    for _, term in terms:
+        total += term
+    return total
 
 
 def dense_splitting_error(h: TwoCellHamiltonian, ring: RingSpace, dts) -> list:

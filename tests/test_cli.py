@@ -344,6 +344,57 @@ class TestConvergeCommand:
         assert "--eps" in err
 
 
+class TestSiteStepBudget:
+    def test_walk_over_the_budget_refused(self, capsys):
+        # 2^24 steps on 1024 sites are exactly the budget; one more is over it
+        code, out, err = run_cli(["walk", "--grid", "1024", "--steps", "16777217"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: --steps: 16777217 steps on 1024 sites make 17179870208 site-steps, "
+            "over the limit of 17179869184\n"
+        )
+
+    def test_converge_over_the_budget_refused(self, capsys):
+        code, out, err = run_cli(["converge", "--time", "1e12", "--eps", "0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: --time/--eps: 2000000000000 steps on 64 sites make 128000000000000 "
+            "site-steps, over the limit of 17179869184\n"
+        )
+
+    def test_budget_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SITE_STEPS", 64)
+        assert run_cli(["walk", "--grid", "8", "--steps", "8", "--init", "delta:4"], capsys)[0] == 0
+        assert run_cli(["walk", "--grid", "8", "--steps", "9", "--init", "delta:4"], capsys)[0] == 2
+        # time 1.6 over eps 0.1 and 0.05: 16 + 32 steps on 2 sites
+        argv = ["converge", "--time", "1.6", "--eps", "0.1,0.05", "--grid", "2", "--mode", "0"]
+        monkeypatch.setattr(cli, "MAX_SITE_STEPS", 96)
+        assert run_cli(argv, capsys)[0] == 0
+        monkeypatch.setattr(cli, "MAX_SITE_STEPS", 95)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and "48 steps on 2 sites make 96 site-steps" in err
+
+    def test_skipped_eps_take_no_steps(self, capsys, monkeypatch):
+        # the study skips an eps that does not divide the time, however many
+        # steps the quotient would be, and an infinite quotient
+        monkeypatch.setattr(cli, "MAX_SITE_STEPS", 64)
+        code, out, err = run_cli(["converge", "--time", "1e10", "--eps", "0.3"], capsys)
+        assert code == 0 and out == "epsilon,l2_error,local_order\n"
+        assert err.startswith("skipped eps=0.3: total_time/eps = 33333333333.333336 is not an integer\n")
+        code, out, err = run_cli(["converge", "--time", "1e300", "--eps", "1e-300"], capsys)
+        assert code == 0 and out == "epsilon,l2_error,local_order\n"
+        assert err.startswith("skipped eps=1e-300: total_time/eps = inf is not an integer\n")
+
+    def test_benchmark_sizes_run(self, capsys, tmp_path):
+        # the benchmark's walk_trace walk (2e5 site-steps) and walk_endpoint
+        # refinement study (3.1e7)
+        walk = ["walk", "--grid", "512", "--steps", "400", "--out", str(tmp_path / "walk.csv")]
+        converge = ["converge", "--mode", "256", "--time", "4.0", "--eps", "0.032,0.016,0.008,0.004",
+                    "--grid", "16384"]
+        for argv in (walk, converge):
+            assert run_cli(argv, capsys)[0] == 0
+
+
 class TestTrotterCommand:
     def test_csv_orders_near_two(self, capsys):
         code, out, _ = run_cli(["trotter", "--cells", "4"], capsys)

@@ -11,6 +11,7 @@ from qcalab.dirac import (
     dirac_plane_wave,
     dirac_scattering_unitary,
     gaussian_field,
+    step_count,
     walk_evolve,
     walk_step,
     walk_vs_engine_crosscheck,
@@ -171,6 +172,16 @@ class TestConvergenceStudy:
         res = convergence_study(0.5, 1, 1.0, [0.1, 0.03], 64)
         assert [e for e, _ in res.skipped] == [0.03]
         assert len(res.rows) == 1
+
+    def test_step_count(self):
+        assert step_count(4.0, 0.004) == 1000
+        for eps, reason in ((0.0, "eps must be positive"), (0.3, "is not an integer")):
+            with pytest.raises(ValueError, match=reason):
+                step_count(1.0, eps)
+
+    def test_infinite_step_count_skipped(self):
+        res = convergence_study(0.5, 1, 1.0, [0.1, 1e-310], 64)
+        assert res.skipped == ((1e-310, "total_time/eps = inf is not an integer"),)
 
     def test_requires_strictly_decreasing_eps(self):
         with pytest.raises(ValueError, match="decreasing"):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from qcalab.trotter import (
     trotter_pqca,
     trotter_vs_pqca_crosscheck,
 )
-from reference import dense_splitting_error, momentum_basis
+from reference import _ring_hamiltonian, dense_splitting_error, momentum_basis
 
 RING4 = RingSpace(4, 2)
 SWAP2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -203,10 +204,11 @@ class TestSplittingError:
         assert splitting_error(h, ring, dts) == [splitting_error(h, ring, [dt])[0] for dt in dts]
         assert splitting_error(h, ring, []) == []
 
-    def test_reference_and_peak_at_eight_cells(self):
+    @pytest.mark.parametrize("cells", [8, 10])
+    def test_reference_and_peak(self, cells):
         # computing the full-size reference first also warms the process
         # before the peak is traced
-        h, ring = random_coupling(2, 1), RingSpace(8, 2)
+        h, ring = random_coupling(2, 1), RingSpace(cells, 2)
         (expected,) = dense_splitting_error(h, ring, [0.2])
         for dts in ([0.2], [0.1, 0.2, 0.05]):
             tracemalloc.start()
@@ -216,10 +218,11 @@ class TestSplittingError:
             finally:
                 tracemalloc.stop()
             assert errs[dts.index(0.2)] == pytest.approx(expected, abs=1e-13)
-            # H and its Hermiticity check's two temporaries, or the split
-            # and the composed step's own arrays; across dts only the
-            # sectors' eigenvectors are kept, so more dts raise no peak
-            assert peak < 4.5 * ring.dim**2 * 16
+            # only rows at the orbit representatives, about dim / (cells/2)
+            # of them, and their gathered and transformed entries are made;
+            # across dts only the sectors' eigenvectors are kept, so more
+            # dts raise no peak
+            assert peak < ring.dim**2 * 16
 
 
 def diagonal_coupling(d):
@@ -250,7 +253,8 @@ class TestMomentumSectors:
     )
     def test_sector_sizes_are_the_burnside_counts(self, cells, d, sizes):
         ring = RingSpace(cells, d)
-        blocks = trotter._sector_blocks(np.eye(ring.dim), trotter._pair_shift_orbits(ring))
+        identity = np.eye(ring.dim, dtype=np.complex128)
+        blocks = trotter._sector_blocks(lambda words: identity[words], trotter._pair_shift_orbits(ring))
         assert [b.shape for b in blocks] == [(s, s) for s in sizes]
         assert momentum_basis(ring)[1] == sizes
         assert sum(sizes) == ring.dim
@@ -263,13 +267,79 @@ class TestMomentumSectors:
         h = random_coupling(d, 4)
         split = composed_step_operator(trotter_pqca(h, 0.3), ring).matrix
         orbits = trotter._pair_shift_orbits(ring)
-        for x in (trotter._ring_hamiltonian(h, ring), split):
+        for x in (_ring_hamiltonian(h, ring), split):
             rotated = f.conj().T @ x @ f
             ends = np.cumsum([0] + sizes)
-            for block, a, b in zip(trotter._sector_blocks(x, orbits), ends, ends[1:]):
+            for block, a, b in zip(trotter._sector_blocks(lambda words: x[words], orbits), ends, ends[1:]):
                 assert np.max(np.abs(rotated[a:b, a:b] - block)) <= 1e-13
                 rotated[a:b, a:b] = 0.0
             assert np.max(np.abs(rotated)) <= 1e-13
+
+
+def planted(h, entry, amount):
+    # a coupling that is not Hermitian, set past TwoCellHamiltonian's check
+    m = h.matrix.copy()
+    m[entry] += amount
+    object.__setattr__(h, "matrix", m)
+    return h
+
+
+def fro_exact(m):
+    # ||m||_F from the correctly rounded sum of the squared parts
+    parts = np.concatenate([m.real.ravel(), m.imag.ravel()])
+    return math.sqrt(math.fsum(parts * parts))
+
+
+ROW_CASES = [(cells, 2) for cells in (2, 4, 6, 8, 10)] + [(cells, 3) for cells in (2, 4, 6)]
+
+
+class TestRowsAtRepresentatives:
+    @pytest.mark.parametrize("cells,d", ROW_CASES)
+    def test_hamiltonian_rows_are_the_full_size_rows(self, cells, d):
+        ring = RingSpace(cells, d)
+        reps = trotter._pair_shift_orbits(ring)[0]
+        for h in couplings(d) + [planted(random_coupling(d, 8), (1, 2), 0.3j)]:
+            rows = trotter._hamiltonian_rows(h, ring, reps)
+            assert rows.tobytes() == _ring_hamiltonian(h, ring)[reps].tobytes()
+
+    @pytest.mark.parametrize("cells,d", ROW_CASES)
+    def test_split_rows_are_the_composed_step_rows(self, cells, d):
+        ring = RingSpace(cells, d)
+        reps = trotter._pair_shift_orbits(ring)[0]
+        for h in couplings(d):
+            for dt in (0.05, 0.4):
+                pq = trotter_pqca(h, dt)
+                rows = trotter._split_rows(pq.scattering.matrix, ring, reps)
+                assert rows.shape == (len(reps), ring.dim)
+                assert np.max(np.abs(rows - composed_step_operator(pq, ring).matrix[reps])) <= 1e-15
+
+    @pytest.mark.parametrize("cells,d", ROW_CASES)
+    def test_sector_hermiticity_defect_is_the_full_size_defect(self, cells, d):
+        ring = RingSpace(cells, d)
+        orbits = trotter._pair_shift_orbits(ring)
+        for h in couplings(d):
+            full = _ring_hamiltonian(h, ring)
+            blocks = trotter._sector_blocks(lambda words: trotter._hamiltonian_rows(h, ring, words), orbits)
+            sector = trotter._sector_hermiticity_defect(blocks)
+            assert abs(sector - hermiticity_defect(full)) <= 1e-15 * np.linalg.norm(full)
+        # not Hermitian: against the correctly rounded norm, since the dot
+        # product under the full-size defect is itself off by up to 6e-15
+        # relative at 8 cells under one BLAS thread
+        for entry, amount in (((1, 2), 0.3j), ((2, 3), -0.1), ((d + 1, 1), 0.7 + 0.2j)):
+            h = planted(random_coupling(d, 9), entry, amount)
+            full = _ring_hamiltonian(h, ring)
+            blocks = trotter._sector_blocks(lambda words: trotter._hamiltonian_rows(h, ring, words), orbits)
+            want = fro_exact(full - full.conj().T)
+            assert abs(trotter._sector_hermiticity_defect(blocks) - want) <= 2e-15 * want
+
+    @pytest.mark.parametrize("cells,d", [(2, 2), (4, 2), (8, 2), (4, 3)])
+    def test_coupling_that_is_not_hermitian_is_refused(self, cells, d):
+        ring = RingSpace(cells, d)
+        for amount in (0.3j, 1e-9j):
+            h = planted(random_coupling(d, 10), (1, 2), amount)
+            # refused from H's blocks, before any split is built
+            with pytest.raises(ValueError, match="not Hermitian"):
+                splitting_error(h, ring, [])
 
 
 class TestCrosscheck:
